@@ -4,7 +4,7 @@
 GO ?= go
 BENCH_JSON ?= BENCH_hotloop.json
 
-.PHONY: all build vet test race race-harness bench bench-gate golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke lint fuzz ci clean
+.PHONY: all build vet test race race-harness bench bench-gate golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke lint fuzz ci clean
 
 all: ci
 
@@ -21,12 +21,12 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the crash-safety layer (worker pool, supervisor,
-# journal, cell plumbing), the distributed executor built on it, and the
-# remote-execution client + chaos proxy (hedge races, breaker transitions,
-# concurrent fault injection). `make race` covers these too; this is the
-# quick iteration loop while touching the harness.
+# journal, cell plumbing) and the remote-execution client + chaos proxy
+# (hedge races, breaker transitions, concurrent fault injection). `make
+# race` covers these too; this is the quick iteration loop while touching
+# the harness.
 race-harness:
-	$(GO) test -race -count=2 ./internal/harness ./internal/experiments ./internal/dist \
+	$(GO) test -race -count=2 ./internal/harness ./internal/experiments \
 		./internal/remote ./internal/faultnet
 
 # Regenerate the committed hot-loop record: the Fig10-class sweep benchmark
@@ -89,7 +89,7 @@ ipexd-smoke:
 		kill -0 $$pid 2>/dev/null || { echo "ipexd-smoke: server died at startup:"; cat $$tmp/log; exit 1; }; \
 		sleep 0.1; i=$$((i+1)); done; \
 	[ -n "$$addr" ] || { echo "ipexd-smoke: server never announced its address"; cat $$tmp/log; exit 1; }; \
-	req='{"app":"fft","scale":0.02,"config":{"ipex":"both"}}'; \
+	req='{"app":"fft","scale":0.02,"config":{"IPEXInst":true,"IPEXData":true,"IPEX":{"Enabled":true}}}'; \
 	curl -sfS -D $$tmp/h1 -o $$tmp/b1 -X POST "http://$$addr/v1/run" -d "$$req" \
 		|| { echo "ipexd-smoke: fresh request failed"; exit 1; }; \
 	grep -qi '^X-Ipex-Cache: miss' $$tmp/h1 \
@@ -107,49 +107,6 @@ ipexd-smoke:
 		echo "ipexd-smoke: drain exited $$status, want 0"; cat $$tmp/log; exit 1; \
 	fi; \
 	echo "ipexd-smoke: miss-then-hit byte-identical; SIGINT drained cleanly"
-
-# Distributed smoke: a real coordinator sharding a sweep over two real
-# worker processes, one of which is SIGKILLed mid-sweep. The coordinator
-# must reshard the dead worker's cells, finish, and print output
-# byte-identical to the serial golden — and a -resume of the merged journal
-# must re-execute zero cells.
-dist-smoke:
-	@tmp=$$(mktemp -d); w1=; w2=; \
-	trap 'kill -9 $$w1 $$w2 2>/dev/null; rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o $$tmp/experiments ./cmd/experiments || exit 1; \
-	args="-exp fig11 -scale 0.02 -apps fft,gsme -json"; \
-	$$tmp/experiments $$args >$$tmp/golden.json || exit 1; \
-	$$tmp/experiments $$args -worker -listen 127.0.0.1:0 2>$$tmp/w1.log & w1=$$!; \
-	$$tmp/experiments $$args -worker -listen 127.0.0.1:0 2>$$tmp/w2.log & w2=$$!; \
-	a1=""; a2=""; i=0; while [ $$i -lt 100 ]; do \
-		a1=$$(sed -n 's#^worker listening on \(http://[^ ]*\).*#\1#p' $$tmp/w1.log); \
-		a2=$$(sed -n 's#^worker listening on \(http://[^ ]*\).*#\1#p' $$tmp/w2.log); \
-		[ -n "$$a1" ] && [ -n "$$a2" ] && break; \
-		sleep 0.1; i=$$((i+1)); done; \
-	[ -n "$$a1" ] && [ -n "$$a2" ] \
-		|| { echo "dist-smoke: workers never announced their addresses"; cat $$tmp/w1.log $$tmp/w2.log; exit 1; }; \
-	$$tmp/experiments $$args -coordinator "$$a1,$$a2" -journal $$tmp/merged.jsonl \
-		-dist-poll 25ms -dist-timeout 500ms -dist-retries 2 \
-		>$$tmp/dist.json 2>$$tmp/coord.log & cpid=$$!; \
-	i=0; while [ $$i -lt 200 ]; do \
-		n=$$(wc -l 2>/dev/null <$$tmp/merged.jsonl) || n=0; \
-		[ "$$n" -ge 2 ] && break; \
-		kill -0 $$cpid 2>/dev/null || break; \
-		sleep 0.05; i=$$((i+1)); done; \
-	kill -9 $$w1 2>/dev/null; \
-	wait $$cpid; status=$$?; \
-	if [ $$status -ne 0 ]; then \
-		echo "dist-smoke: coordinator exited $$status"; cat $$tmp/coord.log; exit 1; \
-	fi; \
-	diff -u $$tmp/golden.json $$tmp/dist.json \
-		|| { echo "dist-smoke: distributed output differs from serial golden"; cat $$tmp/coord.log; exit 1; }; \
-	$$tmp/experiments $$args -journal $$tmp/merged.jsonl -resume \
-		>$$tmp/resumed.json 2>$$tmp/resume.log || { cat $$tmp/resume.log; exit 1; }; \
-	diff -u $$tmp/golden.json $$tmp/resumed.json \
-		|| { echo "dist-smoke: resume of the merged journal differs from golden"; exit 1; }; \
-	grep -q 'supervision: 0 cell(s) executed' $$tmp/resume.log \
-		|| { echo "dist-smoke: resume re-executed cells the fleet completed:"; cat $$tmp/resume.log; exit 1; }; \
-	echo "dist-smoke: fleet survived a SIGKILL; merged output and resume byte-identical to serial"
 
 # Observability smoke: a real sweep under -listen and a real ipexd, scraped
 # live over HTTP. The sweep's /metrics must expose the cell-lifecycle
@@ -193,7 +150,7 @@ obs-smoke:
 		kill -0 $$dpid 2>/dev/null || { echo "obs-smoke: ipexd died at startup:"; cat $$tmp/ipexd.log; exit 1; }; \
 		sleep 0.1; i=$$((i+1)); done; \
 	[ -n "$$daddr" ] || { echo "obs-smoke: ipexd never announced its address"; cat $$tmp/ipexd.log; exit 1; }; \
-	req='{"app":"fft","scale":0.02,"config":{"ipex":"both"}}'; \
+	req='{"app":"fft","scale":0.02,"config":{"IPEXInst":true,"IPEXData":true,"IPEX":{"Enabled":true}}}'; \
 	curl -sfS -o /dev/null -X POST "http://$$daddr/v1/run" -d "$$req" || exit 1; \
 	curl -sfS -o /dev/null -X POST "http://$$daddr/v1/run" -d "$$req" || exit 1; \
 	curl -sfS "http://$$daddr/metrics" >$$tmp/dscrape.txt || exit 1; \
@@ -207,8 +164,8 @@ obs-smoke:
 
 # Short fuzzing passes over the untrusted-input surfaces: the simulator
 # configuration validator, the harvest-trace parser, the journal line
-# parser behind -resume and the distributed segment merge, and the /v1/run
-# request decoder every ipexd exposes to the network. `go test -fuzz`
+# parser behind -resume, and the /v1/run request decoder every ipexd
+# exposes to the network. `go test -fuzz`
 # accepts one target per invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz:
@@ -223,14 +180,13 @@ fuzz:
 # exceptions: internal/benchio (benchmark records carry their generation
 # time), internal/harness/watchdog.go (the wall-clock cell backstop and
 # retry backoff), internal/trace/clock.go (the one wall-clock Clock
-# implementation everything observable injects), internal/dist/clock.go
-# (the coordinator's context-aware poll sleep), internal/remote/clock.go
+# implementation everything observable injects), internal/remote/clock.go
 # (backoff sleeps and the hedge timer), and internal/faultnet/clock.go
 # (blackhole hold timing). None of them touch simulated results.
 lint: vet
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' internal/ --include='*.go' \
 		| grep -v '^internal/benchio/' | grep -v '^internal/harness/watchdog\.go:' \
-		| grep -v '^internal/trace/clock\.go:' | grep -v '^internal/dist/clock\.go:' \
+		| grep -v '^internal/trace/clock\.go:' \
 		| grep -v '^internal/remote/clock\.go:' | grep -v '^internal/faultnet/clock\.go:' \
 		| grep -v '_test\.go'); \
 	if [ -n "$$bad" ]; then \
@@ -242,10 +198,15 @@ lint: vet
 		echo "lint: math/rand import in internal/ (use the seeded PRNGs in internal/power):"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -rn '"net/http"\|"expvar"' internal/ *.go --include='*.go' \
-		| grep -v '^internal/dist/' | grep -v '^internal/remote/'); \
+	@bad=$$(grep -rn '"net/http"' internal/ *.go --include='*.go' \
+		| grep -v '^internal/remote/'); \
 	if [ -n "$$bad" ]; then \
-		echo "lint: net/http or expvar outside cmd/, internal/dist, and internal/remote (servers and process vars belong to the command layer; the dist executor and the fleet client are the two libraries whose job is the wire):"; \
+		echo "lint: net/http outside cmd/ and internal/remote (servers belong to the command layer; the fleet client is the one library whose job is the wire):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn '"expvar"' . --include='*.go' --exclude-dir=.git --exclude-dir=.bench_build); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: expvar import (Prometheus text on /metrics is the one metrics export format):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' cmd/ --include='*.go' \
@@ -268,11 +229,14 @@ lint: vet
 # sweep output must stay byte-identical to the purely local golden, with
 # zero failed cells, and the remote summary must show the resilience
 # machinery actually fired (hedges under blackholes, remote cells despite
-# the kill). A second pass against a dead fleet must degrade every cell to
-# local execution — same bytes again.
+# the kill). Then the sweep process itself is SIGKILLed mid-sweep under
+# -servers -journal: a -resume through the surviving server must print the
+# local golden byte for byte and replay every journaled cell. A last pass
+# against a dead fleet must degrade every cell to local execution — same
+# bytes again.
 remote-smoke:
-	@tmp=$$(mktemp -d); d1=; d2=; f1=; f2=; \
-	trap 'kill -9 $$d1 $$d2 $$f1 $$f2 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	@tmp=$$(mktemp -d); d1=; d2=; f1=; f2=; cpid=; \
+	trap 'kill -9 $$d1 $$d2 $$f1 $$f2 $$cpid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/experiments ./cmd/experiments || exit 1; \
 	$(GO) build -o $$tmp/ipexd ./cmd/ipexd || exit 1; \
 	$(GO) build -o $$tmp/faultnet ./cmd/faultnet || exit 1; \
@@ -319,6 +283,30 @@ remote-smoke:
 		|| { echo "remote-smoke: chaos sweep failed cells:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
 	grep -Eq ' hedges=[1-9]' $$tmp/sweep.log \
 		|| { echo "remote-smoke: blackholes never triggered a hedge:"; grep '^remote:' $$tmp/sweep.log; exit 1; }; \
+	cargs="-exp fig11 -scale 1 -apps fft,gsme,qsort,jpegd -json"; \
+	$$tmp/experiments $$cargs >$$tmp/cgolden.json || exit 1; \
+	$$tmp/experiments $$cargs -parallelism 1 -servers "http://$$a2" -journal $$tmp/crash.jsonl \
+		>/dev/null 2>$$tmp/crash.log & cpid=$$!; \
+	i=0; while [ $$i -lt 400 ]; do \
+		n=$$(wc -l 2>/dev/null <$$tmp/crash.jsonl) || n=0; \
+		[ "$$n" -ge 3 ] && break; \
+		kill -0 $$cpid 2>/dev/null || break; \
+		sleep 0.02; i=$$((i+1)); done; \
+	kill -9 $$cpid 2>/dev/null \
+		|| { echo "remote-smoke: sweep finished before the kill -9; nothing to resume"; cat $$tmp/crash.log; exit 1; }; \
+	wait $$cpid 2>/dev/null; cpid=; \
+	$$tmp/experiments $$cargs -servers "http://$$a2" -journal $$tmp/crash.jsonl -resume \
+		>$$tmp/cresumed.json 2>$$tmp/cresume.log \
+		|| { echo "remote-smoke: resume after kill -9 failed"; cat $$tmp/cresume.log; exit 1; }; \
+	diff -u $$tmp/cgolden.json $$tmp/cresumed.json \
+		|| { echo "remote-smoke: remote resume after kill -9 differs from local golden"; cat $$tmp/cresume.log; exit 1; }; \
+	n=$$(sed -n 's#^resuming .*: \([0-9]*\) journaled cell(s) will replay.*#\1#p' $$tmp/cresume.log); \
+	[ -n "$$n" ] && [ "$$n" -ge 1 ] \
+		|| { echo "remote-smoke: resume announced no journaled cells:"; cat $$tmp/cresume.log; exit 1; }; \
+	grep -q " $$n replayed," $$tmp/cresume.log \
+		|| { echo "remote-smoke: resume did not replay all $$n journaled cells:"; cat $$tmp/cresume.log; exit 1; }; \
+	grep -Eq '^remote: cells=[1-9][0-9]* fallback=0 unroutable=0 failed=0 ' $$tmp/cresume.log \
+		|| { echo "remote-smoke: resume did not finish the sweep on the fleet:"; cat $$tmp/cresume.log; exit 1; }; \
 	$$tmp/experiments $$args -servers http://127.0.0.1:1 -remote-retries 1 \
 		>$$tmp/down.json 2>$$tmp/down.log \
 		|| { echo "remote-smoke: dead-fleet sweep failed"; cat $$tmp/down.log; exit 1; }; \
@@ -326,9 +314,9 @@ remote-smoke:
 		|| { echo "remote-smoke: dead-fleet sweep output differs from local golden"; exit 1; }; \
 	grep -Eq '^remote: cells=0 (fallback=[1-9]|fallback=0 unroutable=[1-9])' $$tmp/down.log \
 		|| { echo "remote-smoke: dead fleet did not degrade to local:"; grep '^remote:' $$tmp/down.log; exit 1; }; \
-	echo "remote-smoke: chaos + SIGKILL sweep byte-identical to local; dead fleet degraded cleanly"
+	echo "remote-smoke: chaos + server SIGKILL sweep byte-identical to local; sweep SIGKILL resumed byte-identical through the fleet; dead fleet degraded cleanly"
 
-ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke dist-smoke obs-smoke remote-smoke fuzz bench-gate
+ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke fuzz bench-gate
 	$(GO) test -run=NONE -bench=BenchmarkFig10 -benchtime=1x ./...
 
 clean:

@@ -1,34 +1,29 @@
 package main
 
 import (
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
-	"sync"
-	"sync/atomic"
 
-	"ipex/internal/dist"
 	"ipex/internal/experiments"
 	"ipex/internal/harness"
 	"ipex/internal/remote"
 	"ipex/internal/trace"
 )
 
-// telemetry serves a running sweep's live state: Prometheus text exposition
-// on /metrics (sweep progress gauges + the shared metrics registry), the
-// aggregated fleet view as JSON on /dist/v1/fleet (coordinator only), and Go
-// expvar on /debug/vars. The sweep itself never blocks on a scrape — the
-// handlers only read atomic counters — and results are unaffected by whether
-// anyone is listening. The clock is injected so the only wall-time read in
-// the sweep path stays inside trace.NewWallClock; its epoch is construction
-// time, so Now() is directly the elapsed sweep duration.
+// telemetry serves a running sweep's live state as Prometheus text
+// exposition on /metrics: sweep progress gauges, the remote-execution
+// client's per-server series when the sweep runs against an ipexd fleet,
+// and the shared metrics registry. The sweep itself never blocks on a
+// scrape — the handler only reads atomic counters — and results are
+// unaffected by whether anyone is listening. The clock is injected so the
+// only wall-time read in the sweep path stays inside trace.NewWallClock;
+// its epoch is construction time, so Now() is directly the elapsed sweep
+// duration.
 type telemetry struct {
 	clock  trace.Clock
 	prog   *experiments.Progress
 	reg    *trace.Registry
 	sup    *harness.Supervisor
-	coord  *dist.Coordinator
 	remote *remote.Client
 }
 
@@ -48,70 +43,21 @@ func (t *telemetry) elapsed() float64 {
 	return t.clock.Now().Seconds()
 }
 
-// curTelemetry backs the process-wide expvar publication (expvar allows one
-// Publish per name per process; tests build several handlers).
-var (
-	curTelemetry atomic.Pointer[telemetry]
-	expvarOnce   sync.Once
-)
-
 // newTelemetryHandler builds the HTTP handler for -listen. sup may be nil
-// (unsupervised sweep); the supervision gauges then read zero.
-func newTelemetryHandler(clock trace.Clock, prog *experiments.Progress, reg *trace.Registry, sup *harness.Supervisor) http.Handler {
-	return newTelemetryHandlerDist(clock, prog, reg, sup, nil, nil)
-}
-
-// newTelemetryHandlerDist additionally exports the fleet when the sweep runs
-// under a distributed coordinator (nil otherwise): merge/dedup totals,
-// re-shard and steal counts, and per-worker liveness, throughput, and
-// straggler flags — as typed ipex_fleet_* series on /metrics and as JSON on
-// /dist/v1/fleet. rc, when non-nil, adds the remote-execution client's
-// per-server series (ipex_remote_breaker_state and friends).
-func newTelemetryHandlerDist(clock trace.Clock, prog *experiments.Progress, reg *trace.Registry, sup *harness.Supervisor, coord *dist.Coordinator, rc *remote.Client) http.Handler {
-	t := &telemetry{clock: clock, prog: prog, reg: reg, sup: sup, coord: coord, remote: rc}
-	curTelemetry.Store(t)
-	expvarOnce.Do(func() {
-		expvar.Publish("ipex_sweep", expvar.Func(func() any {
-			cur := curTelemetry.Load()
-			done, total, insts := cur.prog.Snapshot()
-			cs := cur.counters()
-			return map[string]any{
-				"cells_done":      done,
-				"cells_total":     total,
-				"insts":           insts,
-				"elapsed_seconds": cur.elapsed(),
-				"cells_replayed":  cs.Replayed,
-				"cells_remote":    cs.Remote,
-				"cells_retried":   cs.Retried,
-				"cell_timeouts":   cs.Timeouts,
-				"cell_panics":     cs.Panics,
-				"cell_failures":   cs.Failures,
-			}
-		}))
-	})
+// (unsupervised sweep); the supervision gauges then read zero. rc, when
+// non-nil, adds the remote-execution client's per-server series
+// (ipex_remote_breaker_state and friends).
+func newTelemetryHandler(clock trace.Clock, prog *experiments.Progress, reg *trace.Registry, sup *harness.Supervisor, rc *remote.Client) http.Handler {
+	t := &telemetry{clock: clock, prog: prog, reg: reg, sup: sup, remote: rc}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", t.metrics)
-	mux.Handle("/debug/vars", expvar.Handler())
-	if coord != nil {
-		mux.HandleFunc("/dist/v1/fleet", t.fleet)
-	}
 	return mux
 }
 
-// fleet serves the coordinator's aggregated per-worker view as JSON — the
-// same data ipextop renders live.
-func (t *telemetry) fleet(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(t.coord.Fleet()); err != nil {
-		// A scrape racing a disconnect can fail mid-write; nobody to tell.
-		_ = err
-	}
-}
-
 // metrics writes Prometheus text exposition format 0.0.4: the sweep-progress
-// gauges first, the fleet series when coordinating, then the metrics registry
-// (counters and latency histograms accumulated across every simulation so
-// far).
+// gauges first, the remote series when farming cells out, then the metrics
+// registry (counters and latency histograms accumulated across every
+// simulation so far).
 func (t *telemetry) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	done, total, insts := t.prog.Snapshot()
@@ -142,12 +88,6 @@ func (t *telemetry) metrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("ipex_sweep_cell_timeouts", "wall-clock backstop expiries", float64(cs.Timeouts))
 	gauge("ipex_sweep_cell_panics", "isolated cell panics (journaled, soft-failed)", float64(cs.Panics))
 	gauge("ipex_sweep_cell_failures", "cells journaled as failed (panics + exhausted retries)", float64(cs.Failures))
-	// Fleet series: only present when this process coordinates workers. The
-	// coordinator renders them itself so /metrics and /dist/v1/fleet always
-	// agree on liveness, throughput, and straggler calls.
-	if t.coord != nil {
-		_ = t.coord.WriteFleetProm(w)
-	}
 	// Remote-execution series: per-server breaker states and attempt counts,
 	// only present when the sweep runs against an ipexd fleet. The remote.*
 	// counters themselves live in the shared registry below.

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -33,7 +32,7 @@ func get(t *testing.T, srv *httptest.Server, path string) string {
 
 // TestTelemetryEndpoints drives the -listen handler over real HTTP: /metrics
 // must expose the sweep-progress gauges and the shared registry in valid
-// Prometheus text format, /debug/vars the expvar JSON.
+// Prometheus text format.
 func TestTelemetryEndpoints(t *testing.T) {
 	prog := &experiments.Progress{}
 	reg := trace.NewRegistry()
@@ -54,7 +53,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Fatalf("sweep progress = %d/%d insts=%d", done, total, insts)
 	}
 
-	srv := httptest.NewServer(newTelemetryHandler(trace.NewWallClock(), prog, reg, sup))
+	srv := httptest.NewServer(newTelemetryHandler(trace.NewWallClock(), prog, reg, sup, nil))
 	defer srv.Close()
 
 	body := get(t, srv, "/metrics")
@@ -101,18 +100,6 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Errorf("/metrics does not report %d done cells:\n%s", done, body)
 	}
 
-	vars := get(t, srv, "/debug/vars")
-	var decoded map[string]any
-	if err := json.Unmarshal([]byte(vars), &decoded); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	sweep, ok := decoded["ipex_sweep"].(map[string]any)
-	if !ok {
-		t.Fatalf("/debug/vars missing ipex_sweep: %v", decoded)
-	}
-	if got := sweep["cells_done"].(float64); uint64(got) != done {
-		t.Errorf("expvar cells_done = %v, want %d", got, done)
-	}
 }
 
 // TestTelemetryConformance runs a tiny supervised sweep with lifecycle spans
@@ -129,7 +116,7 @@ func TestTelemetryConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(newTelemetryHandler(clock, prog, reg, sup))
+	srv := httptest.NewServer(newTelemetryHandler(clock, prog, reg, sup, nil))
 	defer srv.Close()
 	body := get(t, srv, "/metrics")
 	if errs := promtext.Lint(body, "ipex_"); len(errs) != 0 {

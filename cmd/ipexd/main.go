@@ -9,11 +9,14 @@
 //	ipexd -listen :8375 -cache-dir /var/cache/ipexd
 //
 //	curl -s -X POST localhost:8375/v1/run \
-//	    -d '{"app":"fft","scale":0.05,"config":{"ipex":"both"}}'
+//	    -d '{"app":"fft","scale":0.05,"config":{"IPEXInst":true,"IPEXData":true}}'
+//
+// The body is the JSON of internal/experiments.CellIdentity; omitted fields
+// keep their defaults (nvp.DefaultConfig, scale 1, RFHome trace seed 1).
 //
 // Endpoints: POST /v1/run (simulate or serve cached), GET /v1/result/<key>
-// (cache probe, no simulation), /metrics (Prometheus text), /debug/vars
-// (expvar), /healthz (200 while serving, 503 once draining). Responses
+// (cache probe, no simulation), /metrics (Prometheus text), /healthz (200
+// while serving, 503 once draining). Responses
 // carry X-Ipex-Key (the cell key), X-Ipex-Cache (hit, hit-disk, miss, or
 // coalesced), and X-Ipex-Sha256 (body checksum, verified by fleet clients).
 //
@@ -24,7 +27,6 @@ package main
 
 import (
 	"context"
-	"expvar"
 	"flag"
 	"fmt"
 	"net"
@@ -115,15 +117,6 @@ func main() {
 		Obs:             harness.NewObs(clock, reg),
 	}
 	srv := newServer(store, reg, sup, clock, remote.Limits{MaxScale: *maxScale, CellBudget: *cellBudget}, nWorkers, *queueDepth)
-
-	start := time.Now()
-	expvar.Publish("ipexd", expvar.Func(func() any {
-		snap := reg.Snapshot()
-		snap["inflight"] = srv.inflight.Load()
-		snap["queue_depth"] = len(srv.queue)
-		snap["uptime_seconds"] = time.Since(start).Seconds()
-		return snap
-	}))
 
 	ln, err := net.Listen("tcp", *listenAddr)
 	if err != nil {

@@ -8,9 +8,13 @@ package main
 // same hostility schedule.
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -336,5 +340,94 @@ func TestRemoteFleetDedupe(t *testing.T) {
 	if executedNow := s.sup.Counters.Snapshot().Executed; executedNow != executedAfterFirst {
 		t.Fatalf("second sweep re-simulated: %d cells executed, want still %d (cache hits)",
 			executedNow, executedAfterFirst)
+	}
+}
+
+// TestRemoteInterruptResume is the remote path's crash-safety round trip: a
+// sweep farmed to ipexd with a local journal is interrupted after three
+// admitted cells (StopAfter, the deterministic stand-in for a kill), then
+// resumed against the same server. The resumed output must be the local
+// golden byte for byte, every journaled cell must replay locally, and the
+// server must never be asked for a journaled key again.
+func TestRemoteInterruptResume(t *testing.T) {
+	golden := goldenFig11(t)
+	s, _ := newTestServer(t, t.TempDir(), 2, 16)
+
+	var (
+		mu        sync.Mutex
+		requested []string
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/run" {
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			if sp, err := remote.DecodeRunRequest(bytes.NewReader(body), remote.Limits{}); err == nil {
+				mu.Lock()
+				requested = append(requested, sp.Cell.Key())
+				mu.Unlock()
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		s.mux().ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	client := func() *remote.Client {
+		rc, err := remote.NewClient(remote.Options{Servers: []string{ts.URL}, Retries: 2, BackoffBase: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rc
+	}
+
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	const sweep = "fig11-remote-resume"
+	j, err := harness.CreateJournal(path, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := &harness.Supervisor{PropagatePanics: true, Remote: client(), Journal: j, StopAfter: 3}
+	_, err = experiments.Fig11(experiments.Options{
+		Scale: 0.02, Apps: []string{"fft", "gsme"}, Parallelism: 4,
+		Sup: sup, RemoteEncode: remote.EncodeCell,
+	})
+	if !errors.Is(err, harness.ErrInterrupted) {
+		t.Fatalf("interrupted sweep returned %v, want ErrInterrupted", err)
+	}
+	j.Close()
+	if cs := sup.Counters.Snapshot(); cs.Remote == 0 || cs.Executed != 0 {
+		t.Fatalf("interrupted sweep did not run its cells remotely: %+v", cs)
+	}
+
+	j2, replay, _, err := harness.ResumeJournal(path, sweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(replay) == 0 {
+		t.Fatal("the interrupted sweep journaled nothing; the resume proves nothing")
+	}
+	mu.Lock()
+	requested = nil
+	mu.Unlock()
+
+	sup2 := &harness.Supervisor{PropagatePanics: true, Remote: client(), Journal: j2, Replay: replay}
+	if got := asJSON(t, fig11Sweep(t, sup2, remote.EncodeCell)); got != golden {
+		t.Fatalf("remote resume diverged from local golden:\nresumed %s\nlocal   %s", got, golden)
+	}
+	cs := sup2.Counters.Snapshot()
+	if cs.Replayed != uint64(len(replay)) {
+		t.Fatalf("resume replayed %d of %d journaled cells: %+v", cs.Replayed, len(replay), cs)
+	}
+	if cs.Executed != 0 || cs.Remote == 0 || cs.Replayed+cs.Remote != 8 {
+		t.Fatalf("resume did not finish the sweep remotely: %+v", cs)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, k := range requested {
+		if replay[k] != nil {
+			t.Fatalf("resume asked the server for journaled cell %s", k)
+		}
 	}
 }

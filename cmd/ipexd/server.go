@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -64,7 +63,7 @@ type taskResult struct {
 // server is the simulation service: a content-addressed result store in
 // front of a bounded worker pool. Request flow for POST /v1/run:
 //
-//	parse → cell key → store.GetOrCompute
+//	decode identity → cell key → store.GetOrCompute
 //	  memory hit  → cached bytes               (X-Ipex-Cache: hit)
 //	  disk hit    → verified bytes, promoted   (X-Ipex-Cache: hit-disk)
 //	  in flight   → wait for the leader        (X-Ipex-Cache: coalesced)
@@ -203,7 +202,6 @@ func (s *server) mux() *http.ServeMux {
 	mux.HandleFunc("/v1/run", s.handleRun)
 	mux.HandleFunc("/v1/result/", s.handleResult)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		// A draining server must fail its health check: the answer is read
 		// by fleet clients deciding whether to route new work here, and a
@@ -256,18 +254,13 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	start := s.now()
 	defer func() { s.observe(s.runSeconds, start) }()
 
-	rq, err := remote.DecodeRunRequest(r.Body)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Sprintf("decoding request: %v", err))
-		return
-	}
-	sp, err := rq.Build(s.lim)
+	sp, err := remote.DecodeRunRequest(r.Body, s.lim)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tr := s.trace(sp.Source, sp.Seed)
-	key := sp.Key(tr.Name, len(tr.Samples))
+	tr := s.trace(sp.Source, sp.Cell.TraceSeed)
+	key := sp.Cell.Key()
 
 	body, outcome, err := s.store.GetOrCompute(key, func() ([]byte, error) {
 		return s.simulate(key, sp, tr)
@@ -334,12 +327,12 @@ func (s *server) simulate(key string, sp remote.Spec, tr *power.Trace) ([]byte, 
 	t := task{
 		cell: harness.Cell{
 			Key:   key,
-			Label: sp.App,
+			Label: sp.Cell.App,
 			Run: func(ctx context.Context, a *nvp.Arena) (nvp.Result, error) {
 				if testRunHook != nil {
-					testRunHook(sp.App)
+					testRunHook(sp.Cell.App)
 				}
-				st, err := s.workloads.Stream(sp.App, sp.Scale)
+				st, err := s.workloads.Stream(sp.Cell.App, sp.Cell.Scale)
 				if err != nil {
 					return nvp.Result{}, err
 				}
@@ -349,7 +342,7 @@ func (s *server) simulate(key string, sp remote.Spec, tr *power.Trace) ([]byte, 
 				if err == nil && cfg.Paranoid && !res.Invariants.Clean() {
 					// Worth the supervisor's bounded retries before the
 					// request fails — never cached either way.
-					err = harness.Transient(fmt.Errorf("%s: %s", sp.App, res.Invariants.Summary()))
+					err = harness.Transient(fmt.Errorf("%s: %s", sp.Cell.App, res.Invariants.Summary()))
 				}
 				return res, err
 			},

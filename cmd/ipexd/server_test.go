@@ -196,7 +196,7 @@ func TestBackpressure429(t *testing.T) {
 	// Three distinct cell keys over the same workload: the trace seed is
 	// part of the identity.
 	body := func(seed int) string {
-		return `{"app":"fft","scale":0.02,"trace_seed":` + strconv.Itoa(seed) + `}`
+		return `{"app":"fft","scale":0.02,"TraceSeed":` + strconv.Itoa(seed) + `}`
 	}
 
 	type out struct {
@@ -312,21 +312,29 @@ func TestMetricsPartition(t *testing.T) {
 }
 
 // TestBadRequests pins the client-error surface: unknown fields, unknown
-// apps, bad scales, and bad modes are all 400s (never simulated, never
+// apps, bad scales, traces the server cannot generate, factories, and
+// configs nvp.Config.Validate rejects are all 400s (never simulated, never
 // cached).
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, "", 1, 2)
 	for name, body := range map[string]string{
-		"unknown-field": `{"app":"fft","turbo":true}`,
-		"missing-app":   `{"scale":0.02}`,
-		"unknown-app":   `{"app":"doom"}`,
-		"bad-scale":     `{"app":"fft","scale":-1}`,
-		"over-scale":    `{"app":"fft","scale":50}`,
-		"bad-source":    `{"app":"fft","source":"mains"}`,
-		"bad-ipex":      `{"app":"fft","config":{"ipex":"sideways"}}`,
-		"bad-nvm":       `{"app":"fft","config":{"nvm":"DRAM"}}`,
-		"bad-prefetch":  `{"app":"fft","config":{"dprefetch":"psychic"}}`,
-		"not-json":      `not even json`,
+		"unknown-field":   `{"app":"fft","turbo":true}`,
+		"unknown-knob":    `{"app":"fft","config":{"Warp":9}}`,
+		"missing-app":     `{"scale":0.02}`,
+		"unknown-app":     `{"app":"doom"}`,
+		"bad-scale":       `{"app":"fft","scale":-1}`,
+		"zero-scale":      `{"app":"fft","scale":0}`,
+		"over-scale":      `{"app":"fft","scale":50}`,
+		"bad-source":      `{"app":"fft","TraceName":"mains"}`,
+		"short-trace":     `{"app":"fft","TraceLen":1000}`,
+		"factory":         `{"app":"fft","config":{"DFactory":"custom/v1"}}`,
+		"bad-ipex":        `{"app":"fft","config":{"IPEXData":true,"IPEX":{"Enabled":true,"StepV":-1}}}`,
+		"bad-nvm":         `{"app":"fft","config":{"NVM":{"Tech":7}}}`,
+		"bad-nvm-energy":  `{"app":"fft","config":{"NVM":{"ReadNJ":-1}}}`,
+		"bad-nvm-latency": `{"app":"fft","config":{"NVM":{"WriteCycles":0}}}`,
+		"bad-prefetch":    `{"app":"fft","config":{"DPrefetcher":"psychic"}}`,
+		"bad-faults":      `{"app":"fft","config":{"Faults":{"Checkpoint":{"WriteFailProb":2}}}}`,
+		"not-json":        `not even json`,
 	} {
 		resp := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -376,7 +384,7 @@ func TestDrainRefusal(t *testing.T) {
 func TestConfigAffectsKey(t *testing.T) {
 	_, ts := newTestServer(t, "", 2, 8)
 	base := postRun(t, ts, smallRun)
-	ipex := postRun(t, ts, `{"app":"fft","scale":0.02,"config":{"ipex":"both"}}`)
+	ipex := postRun(t, ts, `{"app":"fft","scale":0.02,"config":{"IPEXInst":true,"IPEXData":true}}`)
 	if base.StatusCode != http.StatusOK || ipex.StatusCode != http.StatusOK {
 		t.Fatalf("runs failed: %s / %s", base.Status, ipex.Status)
 	}

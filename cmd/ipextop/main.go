@@ -1,8 +1,7 @@
 // Command ipextop is a live terminal view over any ipex metrics endpoint: a
-// sweep under `experiments -listen`, an ipexd service, or a dist worker. It
-// polls /metrics (Prometheus text format), renders latency quantiles from
-// the exported histograms, and — when the endpoint is a coordinator — shows
-// the per-worker fleet table from /dist/v1/fleet.
+// sweep under `experiments -listen` or an ipexd service. It polls /metrics
+// (Prometheus text format) and renders latency quantiles from the exported
+// histograms next to the scalar series.
 //
 //	ipextop localhost:9090                 # refresh every 2s until ^C
 //	ipextop -interval 500ms localhost:9090

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -11,21 +10,17 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"ipex/internal/dist"
 	"ipex/internal/promtext"
 )
 
-// snapshot is one poll of an endpoint: the parsed /metrics scrape plus, when
-// the endpoint coordinates a fleet, the /dist/v1/fleet view.
+// snapshot is one poll of an endpoint: the parsed /metrics scrape.
 type snapshot struct {
-	Exp   *promtext.Exposition
-	Fleet *dist.FleetView
+	Exp *promtext.Exposition
 }
 
 var client = &http.Client{Timeout: 5 * time.Second}
 
-// poll scrapes base/metrics (required) and base/dist/v1/fleet (optional —
-// a 404 just means the endpoint is not a coordinator).
+// poll scrapes base/metrics.
 func poll(base string) (*snapshot, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
@@ -43,19 +38,7 @@ func poll(base string) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("/metrics: %v", err)
 	}
-	s := &snapshot{Exp: exp}
-
-	fresp, err := client.Get(base + "/dist/v1/fleet")
-	if err == nil {
-		if fresp.StatusCode == http.StatusOK {
-			var v dist.FleetView
-			if json.NewDecoder(fresp.Body).Decode(&v) == nil {
-				s.Fleet = &v
-			}
-		}
-		fresp.Body.Close()
-	}
-	return s, nil
+	return &snapshot{Exp: exp}, nil
 }
 
 // gauge returns the value of an unlabelled sample, or NaN when absent.
@@ -73,8 +56,8 @@ func (s *snapshot) gauge(name string) float64 {
 }
 
 // render writes one frame: a sweep header when the endpoint exports the
-// ipex_sweep_* gauges, the fleet table when it coordinates workers, latency
-// quantiles for every exported histogram, and the remaining scalar series.
+// ipex_sweep_* gauges, latency quantiles for every exported histogram, and
+// the remaining scalar series.
 func render(w io.Writer, base string, s *snapshot) {
 	fmt.Fprintf(w, "ipextop — %s\n", base)
 
@@ -91,34 +74,8 @@ func render(w io.Writer, base string, s *snapshot) {
 			fmtSeconds(s.gauge("ipex_sweep_eta_seconds")))
 	}
 
-	if s.Fleet != nil {
-		renderFleet(w, s.Fleet)
-	}
 	renderHistograms(w, s.Exp)
 	renderScalars(w, s.Exp)
-}
-
-// renderFleet writes the per-worker table: liveness, progress, throughput,
-// and the coordinator's straggler call.
-func renderFleet(w io.Writer, v *dist.FleetView) {
-	fmt.Fprintf(w, "\nfleet %q: %d live, %d remaining, %d merged (%d dup), %d resharded, %d stolen, %d dead\n",
-		v.Sweep, v.Live, v.Remaining, v.Merged, v.Duplicates, v.Resharded, v.Stolen, v.DeadWorkers)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "  WORKER\tSTATE\tDONE\tASSIGNED\tREMAINING\tCELLS/S\tFAILS\t")
-	for _, fw := range v.Workers {
-		state := "up"
-		switch {
-		case fw.Dead:
-			state = "dead"
-		case !fw.Up:
-			state = "down"
-		case fw.Straggler:
-			state = "straggler"
-		}
-		fmt.Fprintf(tw, "  %s\t%s\t%d\t%d\t%d\t%.1f\t%d\t\n",
-			fw.Addr, state, fw.Done, fw.Assigned, fw.Remaining, fw.RateCellsPerSec, fw.Fails)
-	}
-	tw.Flush()
 }
 
 // renderHistograms writes one row per histogram family: observation count,
@@ -166,8 +123,7 @@ func renderHistograms(w io.Writer, exp *promtext.Exposition) {
 
 // renderScalars writes the remaining unlabelled counter/gauge samples —
 // cache ratios, queue depths, supervision counters — skipping the sweep
-// header gauges already shown and any labelled series (the fleet table
-// covers those).
+// header gauges already shown and any labelled series.
 func renderScalars(w io.Writer, exp *promtext.Exposition) {
 	type kv struct {
 		name string
@@ -175,8 +131,7 @@ func renderScalars(w io.Writer, exp *promtext.Exposition) {
 	}
 	var rows []kv
 	for _, f := range exp.Families {
-		if f.Type == "histogram" || strings.HasPrefix(f.Name, "ipex_sweep_") ||
-			strings.HasPrefix(f.Name, "ipex_fleet_") {
+		if f.Type == "histogram" || strings.HasPrefix(f.Name, "ipex_sweep_") {
 			continue
 		}
 		for _, sm := range f.Samples {

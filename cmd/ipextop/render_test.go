@@ -1,13 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"ipex/internal/dist"
 	"ipex/internal/promtext"
 	"ipex/internal/trace"
 )
@@ -63,80 +61,25 @@ func TestRenderHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestRenderFleetTable(t *testing.T) {
-	v := &dist.FleetView{
-		Sweep: "s", Live: 2, Remaining: 20, Merged: 80, Duplicates: 3,
-		Workers: []dist.FleetWorker{
-			{Addr: "http://a:1", Up: true, Done: 2, Assigned: 20, Remaining: 18, RateCellsPerSec: 1.5, Straggler: true},
-			{Addr: "http://b:2", Up: true, Done: 18, Assigned: 20, Remaining: 2, RateCellsPerSec: 9},
-			{Addr: "http://c:3", Dead: true},
-		},
-	}
-	exp, err := promtext.Parse("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	render(&b, "http://x", &snapshot{Exp: exp, Fleet: v})
-	out := b.String()
-	for _, want := range []string{
-		`fleet "s": 2 live, 20 remaining, 80 merged (3 dup)`,
-		"straggler", "dead",
-		"http://a:1", "http://b:2", "http://c:3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("fleet frame missing %q:\n%s", want, out)
-		}
-	}
-	// Worker b is healthy: its row says up, not straggler.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "http://b:2") && !strings.Contains(line, "up") {
-			t.Errorf("healthy worker row %q not marked up", line)
-		}
-	}
-}
-
-// TestPollEndToEnd scrapes a real HTTP server shaped like a coordinator:
-// /metrics from the registry renderer, /dist/v1/fleet as JSON.
+// TestPollEndToEnd scrapes a real HTTP server serving /metrics from the
+// registry renderer.
 func TestPollEndToEnd(t *testing.T) {
 	scrape := fixtureScrape(t)
-	fleet := dist.FleetView{Sweep: "e2e", Live: 1, Workers: []dist.FleetWorker{{Addr: "w", Up: true}}}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write([]byte(scrape))
-	})
-	mux.HandleFunc("/dist/v1/fleet", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(fleet)
-	})
-	srv := httptest.NewServer(mux)
+	}))
 	defer srv.Close()
 
 	s, err := poll(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Fleet == nil || s.Fleet.Sweep != "e2e" || len(s.Fleet.Workers) != 1 {
-		t.Fatalf("fleet = %+v, want the served view", s.Fleet)
-	}
 	if f := s.Exp.Family("ipex_ipexd_run_seconds"); f == nil || f.Type != "histogram" {
 		t.Fatalf("scrape did not parse the histogram family: %+v", f)
-	}
-
-	// A fleet-less endpoint (404 on /dist/v1/fleet) still polls fine.
-	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/metrics" {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write([]byte(scrape))
-	}))
-	defer plain.Close()
-	s2, err := poll(plain.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Fleet != nil {
-		t.Error("poll invented a fleet view for a non-coordinator endpoint")
 	}
 }

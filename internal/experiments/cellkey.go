@@ -36,23 +36,23 @@ type ConfigIdentity struct {
 	IPrefetcher        prefetch.Kind
 	DPrefetcher        prefetch.Kind
 	// IFactory/DFactory carry the declared factory IDs ("" = no factory).
-	IFactory           string
-	DFactory           string
-	InitialDegree      int
-	IPEXInst           bool
-	IPEXData           bool
-	IPEX               core.Config
-	NVM                energy.NVMParams
-	Capacitor          capacitor.Config
-	Ideal              bool
-	DupSuppress        bool
-	ReissueOnExit      bool
-	GateAddressGen     bool
-	RecordCycles       bool
-	MaxCycles          uint64
-	Faults             *fault.Config
-	Paranoid           bool
-	Profile            bool
+	IFactory       string
+	DFactory       string
+	InitialDegree  int
+	IPEXInst       bool
+	IPEXData       bool
+	IPEX           core.Config
+	NVM            energy.NVMParams
+	Capacitor      capacitor.Config
+	Ideal          bool
+	DupSuppress    bool
+	ReissueOnExit  bool
+	GateAddressGen bool
+	RecordCycles   bool
+	MaxCycles      uint64
+	Faults         *fault.Config
+	Paranoid       bool
+	Profile        bool
 }
 
 // ErrUnnamedFactory reports a config whose prefetcher factory carries no
@@ -98,12 +98,55 @@ func NewConfigIdentity(cfg nvp.Config) (ConfigIdentity, error) {
 	}, nil
 }
 
+// ErrFactoryIdentity reports an identity that names a prefetcher factory:
+// the ID says which factory ran, but a func cannot be rebuilt from its name,
+// so such an identity has no runnable config outside the process that holds
+// the factory.
+var ErrFactoryIdentity = errors.New("identity names a prefetcher factory; only the process holding the factory can run it")
+
+// NVPConfig is the inverse of NewConfigIdentity: the observer-free config
+// the identity describes, whose own identity is id again. It fails with
+// ErrFactoryIdentity when the identity names a prefetcher factory. The
+// /v1/run decoder in internal/remote relies on it to rebuild a sweep's cell
+// from its identity (TestConfigIdentityRoundTrip pins the inverse).
+func (id ConfigIdentity) NVPConfig() (nvp.Config, error) {
+	if id.IFactory != "" || id.DFactory != "" {
+		return nvp.Config{}, fmt.Errorf("experiments: %w (%q/%q)", ErrFactoryIdentity, id.IFactory, id.DFactory)
+	}
+	return nvp.Config{
+		ICacheSize:         id.ICacheSize,
+		DCacheSize:         id.DCacheSize,
+		Ways:               id.Ways,
+		PrefetchBufEntries: id.PrefetchBufEntries,
+		PrefetchToCache:    id.PrefetchToCache,
+		IPrefetcher:        id.IPrefetcher,
+		DPrefetcher:        id.DPrefetcher,
+		InitialDegree:      id.InitialDegree,
+		IPEXInst:           id.IPEXInst,
+		IPEXData:           id.IPEXData,
+		IPEX:               id.IPEX,
+		NVM:                id.NVM,
+		Capacitor:          id.Capacitor,
+		Ideal:              id.Ideal,
+		DupSuppress:        id.DupSuppress,
+		ReissueOnExit:      id.ReissueOnExit,
+		GateAddressGen:     id.GateAddressGen,
+		RecordCycles:       id.RecordCycles,
+		MaxCycles:          id.MaxCycles,
+		Faults:             id.Faults,
+		Paranoid:           id.Paranoid,
+		Profile:            id.Profile,
+	}, nil
+}
+
 // CellIdentity is the complete content identity of one simulation: what is
 // simulated (app at a scale), under which power trace, with which effective
 // configuration. Two cells with equal identities produce bit-identical
 // results, so a journaled or cached result can stand in for a simulation.
 // It is the shared key schema of the sweep journal (cmd/experiments) and
-// the result cache (cmd/ipexd).
+// the result cache (cmd/ipexd), and its JSON is the POST /v1/run body
+// (internal/remote): one spelling of a cell on disk, in the cache, and on
+// the wire.
 type CellIdentity struct {
 	App       string
 	Scale     float64

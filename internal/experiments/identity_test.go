@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"ipex/internal/harness"
@@ -182,5 +183,80 @@ func TestUnnamedFactoryValidates(t *testing.T) {
 	cfg.DPrefetcherID = "ghost/v1"
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("DPrefetcherID without a factory validated")
+	}
+}
+
+// fillNonZero sets every settable leaf under v to a distinct non-zero value:
+// pointers are allocated, slices get two elements. A field it cannot set
+// (unexported) fails the test, so nothing in the identity escapes the
+// round trip below.
+func fillNonZero(t *testing.T, v reflect.Value, path string, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Type().Field(i)
+			if !v.Field(i).CanSet() {
+				t.Fatalf("%s.%s is unexported: the wire format cannot carry it", path, f.Name)
+			}
+			fillNonZero(t, v.Field(i), path+"."+f.Name, n)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillNonZero(t, v.Elem(), path, n)
+	case reflect.Slice:
+		s := reflect.MakeSlice(v.Type(), 2, 2)
+		for i := 0; i < s.Len(); i++ {
+			fillNonZero(t, s.Index(i), path+"[]", n)
+		}
+		v.Set(s)
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.String:
+		v.SetString("v" + strconv.Itoa(*n))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*n) + 0.25)
+	default:
+		t.Fatalf("%s: no non-zero filler for kind %s", path, v.Kind())
+	}
+}
+
+// TestConfigIdentityRoundTrip pins NVPConfig as the exact inverse of
+// NewConfigIdentity — the property the /v1/run decoder rests on. Every
+// identity field, nested ones included, is set to a distinct non-zero value,
+// so a field NVPConfig forgot to carry comes back zero and fails the
+// comparison. Factory IDs cannot round-trip (a func does not travel), so
+// NVPConfig must refuse them instead.
+func TestConfigIdentityRoundTrip(t *testing.T) {
+	var id ConfigIdentity
+	n := 0
+	fillNonZero(t, reflect.ValueOf(&id).Elem(), "ConfigIdentity", &n)
+
+	for _, named := range []ConfigIdentity{id, {IFactory: "custom/v1"}, {DFactory: "custom/v1"}} {
+		if _, err := named.NVPConfig(); !errors.Is(err, ErrFactoryIdentity) {
+			t.Fatalf("identity naming a factory (%q/%q): NVPConfig error %v, want ErrFactoryIdentity",
+				named.IFactory, named.DFactory, err)
+		}
+	}
+
+	id.IFactory, id.DFactory = "", ""
+	cfg, err := id.NVPConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := NewConfigIdentity(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, id) {
+		t.Fatalf("identity → config → identity changed it:\n got %+v\nwant %+v", back, id)
+	}
+	if harness.Key(back) != harness.Key(id) {
+		t.Fatal("round-tripped identity hashes to a different key")
 	}
 }

@@ -7,11 +7,10 @@ import (
 	"ipex/internal/nvp"
 )
 
-// FuzzJournalLine hardens the single journal line parser shared by -resume
-// and the distributed segment merge: arbitrary bytes must either decode to
-// a structurally complete entry or an error — never a panic, and never a
-// half-valid entry (a cell without a key or result) that replay could
-// mistake for a simulation.
+// FuzzJournalLine hardens the journal line parser behind -resume: arbitrary
+// bytes must either decode to a structurally complete entry or an error —
+// never a panic, and never a half-valid entry (a cell without a key or
+// result) that replay could mistake for a simulation.
 func FuzzJournalLine(f *testing.F) {
 	hdr, _ := json.Marshal(Entry{Kind: KindHeader, Schema: Schema, Sweep: Key("sweep")})
 	cell, _ := json.Marshal(Entry{Kind: KindCell, Key: Key("cell"), App: "fft",

@@ -78,10 +78,6 @@ type Counters struct {
 	// survived retrying).
 	Panics   atomic.Uint64
 	Failures atomic.Uint64
-	// Skipped counts cells short-circuited by the Skip filter (outside a
-	// distributed worker's shard assignment): never simulated, never
-	// journaled.
-	Skipped atomic.Uint64
 	// Remote counts cells answered by a RemoteRunner (executed on an ipexd
 	// fleet, verified, and journaled without simulating locally).
 	Remote atomic.Uint64
@@ -89,7 +85,11 @@ type Counters struct {
 
 // CounterSnapshot is a point-in-time copy of Counters.
 type CounterSnapshot struct {
-	Executed, Replayed, Retried, Timeouts, Panics, Failures, Skipped, Remote uint64
+	Executed, Replayed, Retried, Timeouts, Panics, Failures uint64
+	// Skipped is always 0: no cell is ever filtered out of a sweep. The
+	// field stays so existing readers of the snapshot keep compiling.
+	Skipped uint64
+	Remote  uint64
 }
 
 // Snapshot reads every counter atomically (each individually; the set is
@@ -105,7 +105,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Timeouts: c.Timeouts.Load(),
 		Panics:   c.Panics.Load(),
 		Failures: c.Failures.Load(),
-		Skipped:  c.Skipped.Load(),
 		Remote:   c.Remote.Load(),
 	}
 }
@@ -153,8 +152,7 @@ type Cell struct {
 // with everything off (no journal, no retries, no backstop).
 type Supervisor struct {
 	// Journal receives one entry per finished cell; nil disables
-	// journaling. A *Journal writes a durable file; the distributed layer
-	// installs in-memory sinks that stream entries to a coordinator.
+	// journaling. A *Journal writes a durable file.
 	Journal Sink
 	// Replay holds journaled entries from a resumed run, keyed by cell
 	// hash. Cells whose key maps to a KindCell entry return the journaled
@@ -180,15 +178,6 @@ type Supervisor struct {
 	// takes, but deterministic. It exists for the resume round-trip tests
 	// and `make resume-smoke`.
 	StopAfter uint64
-	// Skip, when non-nil, short-circuits cells this process is not
-	// responsible for: a cell whose key is empty or for which Skip reports
-	// true returns a synthetic completed placeholder (see SkippedResult)
-	// without simulating, journaling, or replaying. Distributed workers
-	// (internal/dist) install it so a worker executes only its shard of a
-	// sweep while the sweep's own control flow still sees a result for
-	// every cell. The placeholder is deliberately worthless: anything
-	// rendered from a filtered sweep is discarded by the worker driver.
-	Skip func(key string) bool
 	// Remote, when non-nil, is offered every journaled cell that carries a
 	// RemoteReq before local execution. A handled cell is journaled from the
 	// remote result; a declined one falls through to the local retry loop
@@ -249,10 +238,6 @@ func (s *Supervisor) replay(c Cell) (nvp.Result, bool) {
 // — is safe because every recycled component is reset from scratch at the
 // next run's construction.
 func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
-	if s != nil && s.Skip != nil && (c.Key == "" || s.Skip(c.Key)) {
-		s.Counters.Skipped.Add(1)
-		return SkippedResult(c.Label), nil, false
-	}
 	if res, ok := s.replay(c); ok {
 		return res, nil, true
 	}
@@ -312,16 +297,6 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 	s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
 		Attempts: attempts, Result: &res})
 	return res, nil, false
-}
-
-// SkippedResult is the placeholder a Skip-filtered cell returns: marked
-// Completed with unit cycle/instruction counts so downstream sweep
-// arithmetic (speedup ratios, completeness filters) neither aborts the
-// sweep nor divides by zero. It carries no simulation content whatsoever —
-// a worker's rendered experiment output is garbage by construction and is
-// discarded; only the journaled entries of the cells it did run matter.
-func SkippedResult(label string) nvp.Result {
-	return nvp.Result{App: label, Completed: true, Cycles: 1, Insts: 1}
 }
 
 func (s *Supervisor) maxRetries() int {

@@ -19,13 +19,11 @@ func backstopContext(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
 
-// BackoffDelay is the deterministic exponential delay before retry number
+// backoffDelay is the deterministic exponential delay before retry number
 // `attempt` (1-based): base << (attempt-1), capped at 32× the base. No
 // jitter: the schedule depends only on the attempt count, so retry
-// behaviour is reproducible run to run. Exported because the distributed
-// coordinator (internal/dist) spaces its worker health-check retries on
-// the same curve.
-func BackoffDelay(base time.Duration, attempt int) time.Duration {
+// behaviour is reproducible run to run.
+func backoffDelay(base time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		return 0
 	}
@@ -39,12 +37,12 @@ func BackoffDelay(base time.Duration, attempt int) time.Duration {
 	return base << shift
 }
 
-// backoff sleeps the deterministic retry delay (see BackoffDelay).
+// backoff sleeps the deterministic retry delay (see backoffDelay).
 func (s *Supervisor) backoff(attempt int) {
 	if s == nil || s.BackoffBase <= 0 {
 		return
 	}
-	d := BackoffDelay(s.BackoffBase, attempt)
+	d := backoffDelay(s.BackoffBase, attempt)
 	// The span observes the deterministic delay itself (not a clock
 	// measurement of the sleep): the schedule is exact by construction, and
 	// recording the schedule keeps the backoff histogram reproducible.

@@ -16,6 +16,7 @@ package nvp
 
 import (
 	"fmt"
+	"math"
 
 	"ipex/internal/capacitor"
 	"ipex/internal/core"
@@ -247,8 +248,16 @@ func (c Config) Validate() error {
 	if c.DPrefetcherID != "" && c.DPrefetcherFactory == nil {
 		return fmt.Errorf("nvp: DPrefetcherID %q set without a DPrefetcherFactory", c.DPrefetcherID)
 	}
-	if c.NVM.SizeBytes <= 0 {
-		return fmt.Errorf("nvp: NVM size must be positive, got %d", c.NVM.SizeBytes)
+	// A factory overrides its side's Kind; without one, the Kind is what
+	// runs and must name a real prefetcher.
+	if c.IPrefetcherFactory == nil && !prefetch.Known(c.IPrefetcher) {
+		return fmt.Errorf("nvp: unknown instruction prefetcher %q", c.IPrefetcher)
+	}
+	if c.DPrefetcherFactory == nil && !prefetch.Known(c.DPrefetcher) {
+		return fmt.Errorf("nvp: unknown data prefetcher %q", c.DPrefetcher)
+	}
+	if err := validateNVM(c.NVM); err != nil {
+		return err
 	}
 	if err := c.Capacitor.Validate(); err != nil {
 		return err
@@ -260,6 +269,33 @@ func (c Config) Validate() error {
 	}
 	if err := c.Faults.Validate(); err != nil {
 		return err
+	}
+	return nil
+}
+
+// validateNVM checks the memory parameters. They arrive verbatim over the
+// network (the /v1/run body carries the full NVMParams), so every field is
+// checked, not just the ones NVMFor could get wrong. NaN is rejected
+// explicitly: it fails every comparison and would poison the energy ledger.
+func validateNVM(p energy.NVMParams) error {
+	switch p.Tech {
+	case energy.ReRAM, energy.STTRAM, energy.PCM:
+	default:
+		return fmt.Errorf("nvp: unknown NVM technology %v (want ReRAM, STTRAM, or PCM)", p.Tech)
+	}
+	if p.SizeBytes <= 0 {
+		return fmt.Errorf("nvp: NVM size must be positive, got %d", p.SizeBytes)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"read energy", p.ReadNJ}, {"write energy", p.WriteNJ}, {"leakage", p.LeakMW}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("nvp: NVM %s must be non-negative and finite, got %g", f.name, f.v)
+		}
+	}
+	if p.ReadCycles == 0 || p.WriteCycles == 0 {
+		return fmt.Errorf("nvp: NVM read/write latency must be at least one cycle, got %d/%d", p.ReadCycles, p.WriteCycles)
 	}
 	return nil
 }

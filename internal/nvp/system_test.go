@@ -1,8 +1,10 @@
 package nvp
 
 import (
+	"math"
 	"testing"
 
+	"ipex/internal/energy"
 	"ipex/internal/power"
 	"ipex/internal/prefetch"
 	"ipex/internal/workload"
@@ -280,25 +282,44 @@ func TestValidation(t *testing.T) {
 	if _, err := Run(wl, nil, DefaultConfig()); err == nil {
 		t.Error("nil trace accepted")
 	}
-	bad := DefaultConfig()
-	bad.ICacheSize = 0
-	if _, err := Run(wl, tr, bad); err == nil {
-		t.Error("zero cache size accepted")
+	// Every case must fail Validate and therefore Run. The NVM rows matter
+	// because the whole NVMParams arrives verbatim in a /v1/run body.
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"zero cache size", func(c *Config) { c.ICacheSize = 0 }},
+		{"absurd degree", func(c *Config) { c.InitialDegree = 99 }},
+		{"unknown instruction prefetcher", func(c *Config) { c.IPrefetcher = "warpdrive" }},
+		{"unknown data prefetcher", func(c *Config) { c.DPrefetcher = "psychic" }},
+		{"IPEX without thresholds", func(c *Config) { *c = c.WithIPEX(); c.IPEX.Thresholds = nil }},
+		{"zero NVM size", func(c *Config) { c.NVM.SizeBytes = 0 }},
+		{"NaN NVM read energy", func(c *Config) { c.NVM.ReadNJ = math.NaN() }},
+		{"Inf NVM write energy", func(c *Config) { c.NVM.WriteNJ = math.Inf(1) }},
+		{"negative NVM write energy", func(c *Config) { c.NVM.WriteNJ = -1 }},
+		{"negative NVM leakage", func(c *Config) { c.NVM.LeakMW = -0.5 }},
+		{"NaN NVM leakage", func(c *Config) { c.NVM.LeakMW = math.NaN() }},
+		{"zero NVM read latency", func(c *Config) { c.NVM.ReadCycles = 0 }},
+		{"zero NVM write latency", func(c *Config) { c.NVM.WriteCycles = 0 }},
+		{"unknown NVM technology", func(c *Config) { c.NVM.Tech = energy.NVMTech(7) }},
+		{"negative NVM technology", func(c *Config) { c.NVM.Tech = -1 }},
+	} {
+		bad := DefaultConfig()
+		tc.mut(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+		if _, err := Run(wl, tr, bad); err == nil {
+			t.Errorf("%s: Run accepted it", tc.name)
+		}
 	}
-	bad = DefaultConfig()
-	bad.InitialDegree = 99
-	if _, err := Run(wl, tr, bad); err == nil {
-		t.Error("absurd degree accepted")
-	}
-	bad = DefaultConfig()
-	bad.IPrefetcher = "warpdrive"
-	if _, err := Run(wl, tr, bad); err == nil {
-		t.Error("unknown prefetcher accepted")
-	}
-	bad = DefaultConfig().WithIPEX()
-	bad.IPEX.Thresholds = nil
-	if _, err := Run(wl, tr, bad); err == nil {
-		t.Error("IPEX without thresholds accepted")
+	// A factory overrides its side's Kind, so the Kind is not checked then.
+	withFactory := DefaultConfig()
+	withFactory.DPrefetcher = "unused"
+	withFactory.DPrefetcherFactory = func() prefetch.Prefetcher { return prefetch.NewStride(16) }
+	withFactory.DPrefetcherID = "stride16/v1"
+	if err := withFactory.Validate(); err != nil {
+		t.Errorf("factory-built data side rejected for its unused Kind: %v", err)
 	}
 }
 

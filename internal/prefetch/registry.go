@@ -28,6 +28,17 @@ var InstructionKinds = []Kind{KindSequential, KindMarkov, KindTIFS}
 // default first.
 var DataKinds = []Kind{KindStride, KindGHB, KindBO}
 
+// Known reports whether New accepts kind. It lets configuration
+// validation reject an unknown kind without building (and allocating the
+// tables of) a prefetcher.
+func Known(kind Kind) bool {
+	switch kind {
+	case KindNone, "", KindSequential, KindStride, KindMarkov, KindTIFS, KindGHB, KindBO, KindAMPM:
+		return true
+	}
+	return false
+}
+
 // New instantiates a prefetcher of the given kind with paper-scale embedded
 // table sizes. It returns (nil, nil) for KindNone.
 func New(kind Kind) (Prefetcher, error) {

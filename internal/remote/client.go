@@ -469,9 +469,14 @@ func (c *Client) attemptHedged(primary, backup *target, key string, req []byte) 
 				c.hedgeWins.Inc()
 			}
 			// Cancel the straggler; its attempt concludes in the cancelled
-			// bucket without a breaker verdict.
+			// bucket without a breaker verdict. Wait for that conclusion, so
+			// no attempt outlives the call and every counted attempt is in
+			// an outcome bucket by the time the caller reads a Snapshot.
 			pcancel()
 			hcancel()
+			for j := i + 1; j < launched; j++ {
+				<-ch
+			}
 			return out.res, 0, nil, nil
 		}
 		if i == 0 || (firstFail.retryAfter == 0 && out.retryAfter > 0) {

@@ -3,104 +3,51 @@ package remote
 import (
 	"encoding/json"
 
+	"ipex/internal/experiments"
 	"ipex/internal/nvp"
 	"ipex/internal/power"
 )
 
-// EncodeCell derives the declarative /v1/run body for one sweep cell, or
-// nil when the cell is not expressible remotely. The contract is absolute:
-// a non-nil return is a request the server is guaranteed to file under
-// wantKey, proven by round-tripping the candidate through Build — the
-// server's own builder — and comparing the reconstructed cell identity
-// against the sweep's. Anything the wire schema cannot express (injected
-// faults, caller-installed prefetcher factories, a non-default capacitor
-// beyond its capacitance, a custom trace) fails that comparison and runs
-// locally; there is no list of special cases to keep in sync with the
-// schema, because the schema itself is the check.
+// EncodeCell derives the /v1/run body for one sweep cell — the JSON of its
+// experiments.CellIdentity — or nil when a server cannot run the cell:
+//   - the key is empty (the cell is unkeyable and always simulates);
+//   - the trace is custom or of a foreign length (a server generates its
+//     traces from a source name and seed at the default length);
+//   - a prefetcher factory is installed (a func does not travel).
 //
 // tr must be the cell's power trace, wantKey the key runAll computed for
-// the cell (see experiments.CellIdentity). cfg must be the effective
-// config — budget clamp and paranoid flag applied, observers excluded —
-// exactly what the cell identity was hashed from.
+// the cell. cfg must be the effective config — budget clamp and paranoid
+// flag applied, observers excluded — exactly what the cell identity was
+// hashed from. The identity built here must hash to wantKey; a mismatch
+// declines the cell rather than ship a request filed under another key.
 func EncodeCell(app string, scale float64, tr *power.Trace, traceSeed uint64, cfg nvp.Config, wantKey string) []byte {
-	if wantKey == "" || tr == nil {
-		return nil
-	}
-	// The server generates its trace from (source, seed) at the default
-	// length; a sweep running a custom or foreign-length trace cannot be
-	// served by the fleet.
-	if len(tr.Samples) != power.DefaultTraceSamples {
+	if wantKey == "" || tr == nil || len(tr.Samples) != power.DefaultTraceSamples {
 		return nil
 	}
 	if _, err := power.ParseSource(tr.Name); err != nil {
 		return nil
 	}
-
-	ipexMode := ""
-	switch {
-	case cfg.IPEXInst && cfg.IPEXData:
-		ipexMode = "both"
-	case !cfg.IPEXInst && cfg.IPEXData:
-		ipexMode = "data"
-	case !cfg.IPEXInst && !cfg.IPEXData:
-		ipexMode = "off"
-	default:
-		return nil // instruction-only IPEX has no wire spelling
+	if cfg.IPrefetcherFactory != nil || cfg.DPrefetcherFactory != nil {
+		return nil
 	}
-
-	ptc, dup := cfg.PrefetchToCache, cfg.DupSuppress
-	rq := RunRequest{
-		App:       app,
-		Scale:     scale,
-		Source:    tr.Name,
-		TraceSeed: traceSeed,
-		Config: &ConfigRequest{
-			IPrefetcher:        string(cfg.IPrefetcher),
-			DPrefetcher:        string(cfg.DPrefetcher),
-			Degree:             cfg.InitialDegree,
-			IPEX:               ipexMode,
-			PrefetchToCache:    &ptc,
-			DupSuppress:        &dup,
-			Ideal:              cfg.Ideal,
-			ReissueOnExit:      cfg.ReissueOnExit,
-			GateAddressGen:     cfg.GateAddressGen,
-			RecordCycles:       cfg.RecordCycles,
-			Paranoid:           cfg.Paranoid,
-			Profile:            cfg.Profile,
-			MaxCycles:          cfg.MaxCycles,
-			ICacheSize:         cfg.ICacheSize,
-			DCacheSize:         cfg.DCacheSize,
-			Ways:               cfg.Ways,
-			PrefetchBufEntries: cfg.PrefetchBufEntries,
-			NVM:                cfg.NVM.Tech.String(),
-			NVMBytes:           cfg.NVM.SizeBytes,
-			CapacitanceFarads:  cfg.Capacitor.CapacitanceFarads,
-		},
-	}
-
-	// Round-trip through the server's own builder: remotable iff the server
-	// would reconstruct the exact cell identity. Limits{} is the unbounded
-	// default — a fleet server running stricter -max-scale/-cell-budget
-	// rejects or re-keys the request, which the client's envelope
-	// verification catches as a per-attempt failure.
-	sp, err := rq.Build(Limits{})
+	ci, err := experiments.NewConfigIdentity(cfg)
 	if err != nil {
 		return nil
 	}
-	if sp.Key(tr.Name, len(tr.Samples)) != wantKey {
+	id := experiments.CellIdentity{
+		App:       app,
+		Scale:     scale,
+		TraceSeed: traceSeed,
+		TraceName: tr.Name,
+		TraceLen:  len(tr.Samples),
+		Config:    ci,
+	}
+	if id.Key() != wantKey {
 		return nil
 	}
-	body, err := json.Marshal(rq)
+	body, err := json.Marshal(id)
 	if err != nil {
 		return nil
 	}
 	return body
 }
-
-// remotable documents the inverse for callers: EncodeCell never needs a
-// list of unsupported features to keep in sync, because anything the wire
-// cannot spell (cfg.Faults, prefetcher factories, exotic capacitor or IPEX
-// parameters, custom traces) changes the reconstructed identity and fails
-// the key comparison above.
-var _ func(string, float64, *power.Trace, uint64, nvp.Config, string) []byte = EncodeCell
-

@@ -35,8 +35,8 @@ func defaultTrace() *power.Trace {
 }
 
 // TestEncodeCellRemotableBattery walks the configurations a sweep actually
-// produces and asserts each encodes to a request the server's own builder
-// reconstructs under the exact cell key.
+// produces and asserts each encodes to a request the server's own decoder
+// files under the exact cell key.
 func TestEncodeCellRemotableBattery(t *testing.T) {
 	tr := defaultTrace()
 	solar := power.Generate(power.Solar, power.DefaultTraceSamples, 9)
@@ -79,6 +79,18 @@ func TestEncodeCellRemotableBattery(t *testing.T) {
 	ideal := nvp.DefaultConfig()
 	ideal.Ideal = true
 
+	withFaults := nvp.DefaultConfig()
+	withFaults.Faults = &fault.Config{Sensor: fault.SensorConfig{NoiseV: 0.01}}
+
+	ipexInstOnly := nvp.DefaultConfig().WithIPEX()
+	ipexInstOnly.IPEXData = false
+
+	tunedIPEX := nvp.DefaultConfig().WithIPEX()
+	tunedIPEX.IPEX.StepV += 0.01
+
+	tunedCap := nvp.DefaultConfig()
+	tunedCap.Capacitor.Vbackup += 0.05
+
 	cases := []struct {
 		name  string
 		app   string
@@ -100,6 +112,11 @@ func TestEncodeCellRemotableBattery(t *testing.T) {
 		{"no-prefetch", "fft", 0.1, tr, 1, nopf},
 		{"markov-ghb-degree4", "fft", 0.1, tr, 1, markov},
 		{"ideal", "fft", 0.1, tr, 1, ideal},
+		// Knobs the sensitivity figures, ablations and fault sweeps turn.
+		{"injected-faults", "fft", 0.1, tr, 1, withFaults},
+		{"ipex-inst-only", "fft", 0.1, tr, 1, ipexInstOnly},
+		{"tuned-ipex-params", "fft", 0.1, tr, 1, tunedIPEX},
+		{"tuned-capacitor-vbackup", "fft", 0.1, tr, 1, tunedCap},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,31 +126,24 @@ func TestEncodeCellRemotableBattery(t *testing.T) {
 				t.Fatal("EncodeCell declined a remotable cell")
 			}
 			// The encoded body must decode through the server's own path and
-			// rebuild the identical key (the round trip EncodeCell performed,
-			// re-done here through the public decoder).
-			rq, err := DecodeRunRequest(bytes.NewReader(body))
+			// re-key to the sweep's key.
+			sp, err := DecodeRunRequest(bytes.NewReader(body), Limits{})
 			if err != nil {
 				t.Fatalf("DecodeRunRequest on own encoding: %v", err)
 			}
-			sp, err := rq.Build(Limits{})
-			if err != nil {
-				t.Fatalf("Build on own encoding: %v", err)
-			}
-			if got := sp.Key(tc.tr.Name, len(tc.tr.Samples)); got != key {
+			if got := sp.Cell.Key(); got != key {
 				t.Fatalf("server-side key = %s, want %s", got, key)
 			}
 		})
 	}
 }
 
-// TestEncodeCellDeclinesInexpressible pins the graceful-degradation side:
-// anything the wire schema cannot spell returns nil, so the cell runs
-// locally instead of being mis-keyed remotely.
+// TestEncodeCellDeclinesInexpressible pins what stays local: a trace the
+// server cannot regenerate from a source name and seed, and a prefetcher
+// factory (a func does not travel). EncodeCell returns nil for them, so the
+// cell runs locally instead of being mis-keyed remotely.
 func TestEncodeCellDeclinesInexpressible(t *testing.T) {
 	tr := defaultTrace()
-
-	withFaults := nvp.DefaultConfig()
-	withFaults.Faults = &fault.Config{Sensor: fault.SensorConfig{NoiseV: 0.01}}
 
 	withFactory := nvp.DefaultConfig()
 	withFactory.IPrefetcherFactory = func() prefetch.Prefetcher {
@@ -141,15 +151,6 @@ func TestEncodeCellDeclinesInexpressible(t *testing.T) {
 		return p
 	}
 	withFactory.IPrefetcherID = "custom-seq"
-
-	ipexInstOnly := nvp.DefaultConfig().WithIPEX()
-	ipexInstOnly.IPEXData = false
-
-	tunedIPEX := nvp.DefaultConfig().WithIPEX()
-	tunedIPEX.IPEX.StepV += 0.01
-
-	tunedCap := nvp.DefaultConfig()
-	tunedCap.Capacitor.Vbackup += 0.05
 
 	customTrace := power.Generate(power.RFHome, power.DefaultTraceSamples, 1)
 	customTrace.Name = "bench-recording-3"
@@ -161,11 +162,7 @@ func TestEncodeCellDeclinesInexpressible(t *testing.T) {
 		tr   *power.Trace
 		cfg  nvp.Config
 	}{
-		{"injected-faults", tr, withFaults},
 		{"prefetcher-factory", tr, withFactory},
-		{"ipex-inst-only", tr, ipexInstOnly},
-		{"tuned-ipex-params", tr, tunedIPEX},
-		{"tuned-capacitor-vbackup", tr, tunedCap},
 		{"custom-trace-name", customTrace, nvp.DefaultConfig()},
 		{"foreign-trace-length", shortTrace, nvp.DefaultConfig()},
 	}
@@ -188,7 +185,7 @@ func TestEncodeCellDeclinesInexpressible(t *testing.T) {
 	// A wrong wantKey (any mismatch between the sweep's identity and the
 	// request) must decline rather than ship a mis-keyed request.
 	if EncodeCell("fft", 0.1, tr, 1, nvp.DefaultConfig(), "00000000000000000000000000000000") != nil {
-		t.Fatal("EncodeCell accepted a key its round trip cannot reproduce")
+		t.Fatal("EncodeCell accepted a key its identity does not hash to")
 	}
 }
 
