@@ -334,7 +334,11 @@ func TestBadRequests(t *testing.T) {
 		"bad-nvm-latency": `{"app":"fft","config":{"NVM":{"WriteCycles":0}}}`,
 		"bad-prefetch":    `{"app":"fft","config":{"DPrefetcher":"psychic"}}`,
 		"bad-faults":      `{"app":"fft","config":{"Faults":{"Checkpoint":{"WriteFailProb":2}}}}`,
-		"not-json":        `not even json`,
+		// Always-failing checkpoint writes with an unbounded retry count
+		// would spin one worker inside a single outage.
+		"huge-ckpt-retries":   `{"app":"fft","scale":0.02,"config":{"Faults":{"Checkpoint":{"WriteFailProb":1,"MaxRetries":4611686018427387904}}}}`,
+		"huge-ckpt-rollbacks": `{"app":"fft","scale":0.02,"config":{"Faults":{"Checkpoint":{"WriteFailProb":1,"MaxRollbacks":65}}}}`,
+		"not-json":            `not even json`,
 	} {
 		resp := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -38,7 +38,7 @@ func main() {
 		if i > 0 {
 			time.Sleep(*interval)
 		}
-		snap, err := poll(base)
+		exp, err := poll(base)
 		if clear {
 			// Home the cursor and clear to end so a shrinking frame leaves
 			// no stale rows behind.
@@ -51,6 +51,6 @@ func main() {
 			}
 			continue
 		}
-		render(os.Stdout, base, snap)
+		render(os.Stdout, base, exp)
 	}
 }

@@ -13,15 +13,10 @@ import (
 	"ipex/internal/promtext"
 )
 
-// snapshot is one poll of an endpoint: the parsed /metrics scrape.
-type snapshot struct {
-	Exp *promtext.Exposition
-}
-
 var client = &http.Client{Timeout: 5 * time.Second}
 
-// poll scrapes base/metrics.
-func poll(base string) (*snapshot, error) {
+// poll scrapes and parses base/metrics.
+func poll(base string) (*promtext.Exposition, error) {
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
 		return nil, err
@@ -38,12 +33,12 @@ func poll(base string) (*snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("/metrics: %v", err)
 	}
-	return &snapshot{Exp: exp}, nil
+	return exp, nil
 }
 
 // gauge returns the value of an unlabelled sample, or NaN when absent.
-func (s *snapshot) gauge(name string) float64 {
-	f := s.Exp.Family(name)
+func gauge(exp *promtext.Exposition, name string) float64 {
+	f := exp.Family(name)
 	if f == nil {
 		return math.NaN()
 	}
@@ -58,24 +53,24 @@ func (s *snapshot) gauge(name string) float64 {
 // render writes one frame: a sweep header when the endpoint exports the
 // ipex_sweep_* gauges, latency quantiles for every exported histogram, and
 // the remaining scalar series.
-func render(w io.Writer, base string, s *snapshot) {
+func render(w io.Writer, base string, exp *promtext.Exposition) {
 	fmt.Fprintf(w, "ipextop — %s\n", base)
 
-	if total := s.gauge("ipex_sweep_cells_total"); !math.IsNaN(total) {
-		done := s.gauge("ipex_sweep_cells_done")
+	if total := gauge(exp, "ipex_sweep_cells_total"); !math.IsNaN(total) {
+		done := gauge(exp, "ipex_sweep_cells_done")
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * done / total
 		}
 		fmt.Fprintf(w, "sweep: %.0f/%.0f cells (%.1f%%)  %.1f cells/s  elapsed %s  eta %s\n",
 			done, total, pct,
-			s.gauge("ipex_sweep_cells_per_second"),
-			fmtSeconds(s.gauge("ipex_sweep_elapsed_seconds")),
-			fmtSeconds(s.gauge("ipex_sweep_eta_seconds")))
+			gauge(exp, "ipex_sweep_cells_per_second"),
+			fmtSeconds(gauge(exp, "ipex_sweep_elapsed_seconds")),
+			fmtSeconds(gauge(exp, "ipex_sweep_eta_seconds")))
 	}
 
-	renderHistograms(w, s.Exp)
-	renderScalars(w, s.Exp)
+	renderHistograms(w, exp)
+	renderScalars(w, exp)
 }
 
 // renderHistograms writes one row per histogram family: observation count,

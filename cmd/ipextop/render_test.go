@@ -36,7 +36,7 @@ func TestRenderHistogramQuantiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	render(&b, "http://x", &snapshot{Exp: exp})
+	render(&b, "http://x", exp)
 	out := b.String()
 
 	// 8 of 10 observations land in the 0.1 bucket → p50 interpolates inside
@@ -75,11 +75,11 @@ func TestPollEndToEnd(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	s, err := poll(srv.URL)
+	exp, err := poll(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := s.Exp.Family("ipex_ipexd_run_seconds"); f == nil || f.Type != "histogram" {
+	if f := exp.Family("ipex_ipexd_run_seconds"); f == nil || f.Type != "histogram" {
 		t.Fatalf("scrape did not parse the histogram family: %+v", f)
 	}
 }

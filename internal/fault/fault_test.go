@@ -61,6 +61,9 @@ func TestConfigValidate(t *testing.T) {
 		{"ckpt prob negative", Config{Checkpoint: CheckpointConfig{WriteFailProb: -0.1}}, "write-failure"},
 		{"ckpt retries negative", Config{Checkpoint: CheckpointConfig{MaxRetries: -1}}, "retries"},
 		{"ckpt rollbacks negative", Config{Checkpoint: CheckpointConfig{MaxRollbacks: -2}}, "rollbacks"},
+		{"ckpt retries at bound", Config{Checkpoint: CheckpointConfig{WriteFailProb: 1, MaxRetries: MaxCheckpointRetries, MaxRollbacks: MaxCheckpointRollbacks}}, ""},
+		{"ckpt retries too many", Config{Checkpoint: CheckpointConfig{WriteFailProb: 1, MaxRetries: 1 << 62}}, "retries"},
+		{"ckpt rollbacks too many", Config{Checkpoint: CheckpointConfig{MaxRollbacks: MaxCheckpointRollbacks + 1}}, "rollbacks"},
 		{"harvest dropout nan", Config{Harvest: HarvestConfig{DropoutProb: nan}}, "dropout"},
 		{"harvest spike > 1", Config{Harvest: HarvestConfig{SpikeProb: 2}}, "spike"},
 		{"spike scale negative", Config{Harvest: HarvestConfig{SpikeScale: -1}}, "spike scale"},

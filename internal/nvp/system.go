@@ -1140,11 +1140,6 @@ func (s *System) result(completed bool) Result {
 	}
 	s.flushCycle(s.data.cache.DirtyBlocks())
 	if m := s.cfg.Metrics; m != nil {
-		for _, sd := range [2]*side{&s.inst, &s.data} {
-			if in, ok := sd.pf.(*prefetch.Instrument); ok {
-				in.Flush()
-			}
-		}
 		m.Counter("run.insts").Add(s.insts)
 		m.Counter("run.cycles").Add(s.now)
 		m.Counter("run.on_cycles").Add(s.onCycles)

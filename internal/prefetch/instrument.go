@@ -6,11 +6,7 @@ import "ipex/internal/trace"
 // was consulted, how many candidates it proposed, and how many power-failure
 // resets it absorbed. The engine installs the wrapper only when a registry is
 // configured, so an uninstrumented run pays nothing; with one installed, each
-// observation costs two plain adds. A wrapper serves one run on one
-// goroutine, so it tallies observations locally and Flush publishes them at
-// the end of the run: per-access atomic adds to counters shared by every
-// concurrent run (an ipexd worker pool) made each access contend for one
-// cache line.
+// observation costs two atomic adds.
 //
 // The wrapper deliberately does NOT forward the optional AddressGenCoster /
 // HitIndifferent interfaces — the engine inspects the inner prefetcher for
@@ -21,8 +17,6 @@ type Instrument struct {
 	observes *trace.Counter
 	proposed *trace.Counter
 	resets   *trace.Counter
-
-	nObserves, nProposed uint64 // not yet flushed
 }
 
 // NewInstrument wraps p, registering its counters under
@@ -49,17 +43,9 @@ func (in *Instrument) Name() string { return in.inner.Name() }
 func (in *Instrument) OnAccess(dst []uint64, ev Event) []uint64 {
 	base := len(dst)
 	out := in.inner.OnAccess(dst, ev)
-	in.nObserves++
-	in.nProposed += uint64(len(out) - base)
+	in.observes.Inc()
+	in.proposed.Add(uint64(len(out) - base))
 	return out
-}
-
-// Flush adds the observations tallied since the last Flush to the registry
-// counters. The engine calls it once, when the run's result is assembled.
-func (in *Instrument) Flush() {
-	in.observes.Add(in.nObserves)
-	in.proposed.Add(in.nProposed)
-	in.nObserves, in.nProposed = 0, 0
 }
 
 // Reset forwards the power-failure reset, counting it.

@@ -29,6 +29,7 @@ func FuzzRunRequest(f *testing.F) {
 	f.Add([]byte(`{"app":"fft","scale":1e309}`))
 	f.Add([]byte(`{"app":"fft","scale":-1}`))
 	f.Add([]byte(`{"app":"fft","config":{"IFactory":"custom/v1","NVM":{"ReadNJ":-1,"ReadCycles":0}}}`))
+	f.Add([]byte(`{"app":"fft","scale":0.02,"config":{"Faults":{"Checkpoint":{"WriteFailProb":1,"MaxRetries":4611686018427387904}}}}`))
 	f.Add([]byte(`{"app":"fft","TraceLen":7,"config":{"Capacitor":{"CapacitanceFarads":-4.7e-7}}}`))
 	f.Add([]byte(`{"app":` + strings.Repeat("[", 64) + `}`))
 	f.Add([]byte(`nonsense`))
