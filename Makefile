@@ -182,8 +182,14 @@ fuzz:
 # retry backoff), internal/trace/clock.go (the one wall-clock Clock
 # implementation everything observable injects), internal/remote/clock.go
 # (backoff sleeps and the hedge timer), and internal/faultnet/clock.go
-# (blackhole hold timing). None of them touch simulated results.
+# (blackhole hold timing). None of them touch simulated results. Every
+# tracked Go file must also be gofmt-clean.
 lint: vet
+	@bad=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$bad" ]; then \
+		echo "lint: files not gofmt-clean (run gofmt -w on them):"; \
+		echo "$$bad"; exit 1; \
+	fi
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' internal/ --include='*.go' \
 		| grep -v '^internal/benchio/' | grep -v '^internal/harness/watchdog\.go:' \
 		| grep -v '^internal/trace/clock\.go:' \

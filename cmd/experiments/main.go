@@ -318,10 +318,9 @@ func main() {
 		sup.Obs = harness.NewObs(telClock, o.Metrics)
 	}
 
-	// Remote execution: each keyed cell travels as its cell identity
-	// (remote.EncodeCell) to the resilient client; a cell with a custom
-	// trace or a prefetcher factory — and every cell the fleet cannot
-	// answer — runs locally as before.
+	// Remote execution: each cell travels as its cell identity
+	// (remote.EncodeCell) to the resilient client; every cell the fleet
+	// cannot answer runs locally as before.
 	var rc *remote.Client
 	if *servers != "" {
 		var err error
@@ -416,14 +415,13 @@ func main() {
 	// SIGINT drain and let one stalled client pin a goroutine forever.
 	telemetryShutdown := func() {}
 	if *listenAddr != "" {
-		o.Progress = &experiments.Progress{}
 		ln, err := net.Listen("tcp", *listenAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: -listen: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "telemetry listening on http://%s/metrics\n", ln.Addr())
-		srv := httpd.New(newTelemetryHandler(telClock, o.Progress, o.Metrics, sup, rc))
+		srv := httpd.New(newTelemetryHandler(telClock, o.Metrics, sup, rc))
 		telemetryShutdown = func() {
 			if err := httpd.Shutdown(srv, 2*time.Second); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: telemetry shutdown: %v\n", err)

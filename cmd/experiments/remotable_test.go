@@ -11,10 +11,10 @@ import (
 	"ipex/internal/remote"
 )
 
-// TestEveryBuiltinCellRemotable pins the wire format's reach: every keyed
-// cell of every registered experiment encodes to a /v1/run body, and the
-// server's own decoder files that body under the sweep's cell key. A cell
-// that failed either half would run locally under -servers — correct, but a
+// TestEveryBuiltinCellRemotable pins the wire format's reach: every cell of
+// every registered experiment encodes to a /v1/run body, and the server's
+// own decoder files that body under the sweep's cell key. A cell that
+// failed either half would run locally under -servers — correct, but a
 // silent hole in the fleet's coverage.
 func TestEveryBuiltinCellRemotable(t *testing.T) {
 	var (
@@ -26,7 +26,7 @@ func TestEveryBuiltinCellRemotable(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		if body == nil {
-			t.Errorf("%s (%s, trace %s): keyed cell %s has no wire encoding", app, cfg.IPrefetcher, tr.Name, key)
+			t.Errorf("%s (%s, trace %s): cell %s has no wire encoding", app, cfg.IPrefetcher, tr.Name, key)
 			return nil
 		}
 		sp, err := remote.DecodeRunRequest(bytes.NewReader(body), remote.Limits{})
@@ -50,5 +50,5 @@ func TestEveryBuiltinCellRemotable(t *testing.T) {
 	if encoded == 0 {
 		t.Fatal("no cell reached the encoder; the test proved nothing")
 	}
-	t.Logf("%d keyed cells across %d experiments encode and re-key server-side", encoded, len(order))
+	t.Logf("%d cells across %d experiments encode and re-key server-side", encoded, len(order))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"ipex/internal/experiments"
 	"ipex/internal/harness"
 	"ipex/internal/remote"
 	"ipex/internal/trace"
@@ -21,7 +20,6 @@ import (
 // duration.
 type telemetry struct {
 	clock  trace.Clock
-	prog   *experiments.Progress
 	reg    *trace.Registry
 	sup    *harness.Supervisor
 	remote *remote.Client
@@ -35,20 +33,12 @@ func (t *telemetry) counters() harness.CounterSnapshot {
 	return t.sup.Counters.Snapshot()
 }
 
-// elapsed is the wall-clock seconds since the handler (≈ sweep) started.
-func (t *telemetry) elapsed() float64 {
-	if t.clock == nil {
-		return 0
-	}
-	return t.clock.Now().Seconds()
-}
-
 // newTelemetryHandler builds the HTTP handler for -listen. sup may be nil
 // (unsupervised sweep); the supervision gauges then read zero. rc, when
 // non-nil, adds the remote-execution client's per-server series
 // (ipex_remote_breaker_state and friends).
-func newTelemetryHandler(clock trace.Clock, prog *experiments.Progress, reg *trace.Registry, sup *harness.Supervisor, rc *remote.Client) http.Handler {
-	t := &telemetry{clock: clock, prog: prog, reg: reg, sup: sup, remote: rc}
+func newTelemetryHandler(clock trace.Clock, reg *trace.Registry, sup *harness.Supervisor, rc *remote.Client) http.Handler {
+	t := &telemetry{clock: clock, reg: reg, sup: sup, remote: rc}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", t.metrics)
 	return mux
@@ -60,8 +50,9 @@ func newTelemetryHandler(clock trace.Clock, prog *experiments.Progress, reg *tra
 // simulation so far).
 func (t *telemetry) metrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	done, total, insts := t.prog.Snapshot()
-	elapsed := t.elapsed()
+	cs := t.counters()
+	done, total := cs.Done, cs.Enqueued
+	elapsed := trace.Now(t.clock).Seconds()
 	rate := 0.0
 	if elapsed > 0 {
 		rate = float64(done) / elapsed
@@ -75,13 +66,12 @@ func (t *telemetry) metrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	gauge("ipex_sweep_cells_total", "sweep cells enqueued so far", float64(total))
 	gauge("ipex_sweep_cells_done", "sweep cells completed", float64(done))
-	gauge("ipex_sweep_insts_total", "instructions simulated so far", float64(insts))
+	gauge("ipex_sweep_insts_total", "instructions simulated so far", float64(cs.Insts))
 	gauge("ipex_sweep_elapsed_seconds", "wall-clock time since the sweep started", elapsed)
 	gauge("ipex_sweep_cells_per_second", "completed cells per wall-clock second", rate)
 	gauge("ipex_sweep_eta_seconds", "estimated seconds until the enqueued cells finish", eta)
 	// Supervision counters (crash-safe harness): journal replays, retries,
 	// watchdog timeouts, isolated panics, and journaled failures.
-	cs := t.counters()
 	gauge("ipex_sweep_cells_replayed", "cells answered from the resume journal without simulating", float64(cs.Replayed))
 	gauge("ipex_sweep_cells_remote", "cells executed on the ipexd fleet (verified remote results)", float64(cs.Remote))
 	gauge("ipex_sweep_cells_retried", "cell re-runs after a transient failure", float64(cs.Retried))

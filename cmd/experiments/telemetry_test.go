@@ -34,26 +34,26 @@ func get(t *testing.T, srv *httptest.Server, path string) string {
 // must expose the sweep-progress gauges and the shared registry in valid
 // Prometheus text format.
 func TestTelemetryEndpoints(t *testing.T) {
-	prog := &experiments.Progress{}
 	reg := trace.NewRegistry()
 	// Sentinel metrics with names no simulation touches, so their exact
 	// values survive the sweep below.
 	reg.Counter("test.sentinel").Add(5)
 	reg.Gauge("test.sentinel_gauge").Add(12.5)
 
-	// Run a real (tiny) sweep through the progress counters so the gauges
-	// carry live values, exactly as a sweep under -listen would.
+	// Run a real (tiny) sweep through the supervisor's progress counters so
+	// the gauges carry live values, exactly as a sweep under -listen would.
 	sup := &harness.Supervisor{}
-	o := experiments.Options{Scale: 0.02, Apps: []string{"fft", "gsme"}, Progress: prog, Metrics: reg, Sup: sup}
+	o := experiments.Options{Scale: 0.02, Apps: []string{"fft", "gsme"}, Metrics: reg, Sup: sup}
 	if _, err := experiments.Fig11(o); err != nil {
 		t.Fatal(err)
 	}
-	done, total, insts := prog.Snapshot()
-	if done == 0 || done != total || insts == 0 {
-		t.Fatalf("sweep progress = %d/%d insts=%d", done, total, insts)
+	cs := sup.Counters.Snapshot()
+	done := cs.Done
+	if done == 0 || done != cs.Enqueued || cs.Insts == 0 {
+		t.Fatalf("sweep progress = %d/%d insts=%d", done, cs.Enqueued, cs.Insts)
 	}
 
-	srv := httptest.NewServer(newTelemetryHandler(trace.NewWallClock(), prog, reg, sup, nil))
+	srv := httptest.NewServer(newTelemetryHandler(trace.NewWallClock(), reg, sup, nil))
 	defer srv.Close()
 
 	body := get(t, srv, "/metrics")
@@ -107,16 +107,15 @@ func TestTelemetryEndpoints(t *testing.T) {
 // every family typed, histogram buckets cumulative with +Inf, no duplicate
 // series. This is the conformance gate for the experiments endpoint.
 func TestTelemetryConformance(t *testing.T) {
-	prog := &experiments.Progress{}
 	reg := trace.NewRegistry()
 	clock := trace.NewWallClock()
 	sup := &harness.Supervisor{Obs: harness.NewObs(clock, reg)}
-	o := experiments.Options{Scale: 0.02, Apps: []string{"fft"}, Progress: prog, Metrics: reg, Sup: sup}
+	o := experiments.Options{Scale: 0.02, Apps: []string{"fft"}, Metrics: reg, Sup: sup}
 	if _, err := experiments.Fig11(o); err != nil {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(newTelemetryHandler(clock, prog, reg, sup, nil))
+	srv := httptest.NewServer(newTelemetryHandler(clock, reg, sup, nil))
 	defer srv.Close()
 	body := get(t, srv, "/metrics")
 	if errs := promtext.Lint(body, "ipex_"); len(errs) != 0 {
@@ -139,7 +138,7 @@ func TestTelemetryConformance(t *testing.T) {
 	if fam == nil {
 		t.Fatal("no ipex_harness_attempt_seconds family parsed")
 	}
-	done, _, _ := prog.Snapshot()
+	done := sup.Counters.Snapshot().Done
 	bs := promtext.Buckets(fam)
 	if len(bs) == 0 || bs[len(bs)-1].CumCount != float64(done) {
 		t.Errorf("attempt histogram +Inf count = %v buckets, want %d attempts", bs, done)

@@ -14,11 +14,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"ipex/internal/experiments"
 	"ipex/internal/harness"
 	"ipex/internal/nvp"
-	"ipex/internal/power"
 	"ipex/internal/remote"
 	"ipex/internal/resultstore"
 	"ipex/internal/trace"
@@ -95,13 +94,6 @@ type server struct {
 	clock         trace.Clock
 	runSeconds    *trace.Histogram
 	resultSeconds *trace.Histogram
-
-	traces sync.Map // traceKey → *power.Trace
-}
-
-type traceKey struct {
-	src  power.Source
-	seed uint64
 }
 
 // newServer wires the store, registry, and supervisor together and starts
@@ -184,18 +176,6 @@ func (s *server) close() {
 	s.wg.Wait()
 }
 
-// trace returns the memoized synthetic power trace for (source, seed) —
-// generation is deterministic and traces are read-only, so every request
-// for the pair shares one instance.
-func (s *server) trace(src power.Source, seed uint64) *power.Trace {
-	key := traceKey{src: src, seed: seed}
-	if v, ok := s.traces.Load(key); ok {
-		return v.(*power.Trace)
-	}
-	v, _ := s.traces.LoadOrStore(key, power.Generate(src, power.DefaultTraceSamples, seed))
-	return v.(*power.Trace)
-}
-
 // mux builds the server's routing table.
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
@@ -214,22 +194,6 @@ func (s *server) mux() *http.ServeMux {
 		io.WriteString(w, "ok\n")
 	})
 	return mux
-}
-
-// now reads the injected clock (0 when none — latency spans off).
-func (s *server) now() time.Duration {
-	if s.clock == nil {
-		return 0
-	}
-	return s.clock.Now()
-}
-
-// observe records now-start into h when a clock is installed.
-func (s *server) observe(h *trace.Histogram, start time.Duration) {
-	if s.clock == nil {
-		return
-	}
-	h.ObserveDuration(s.clock.Now() - start)
 }
 
 // fail counts and writes one error response. Every counted request ends in
@@ -251,19 +215,17 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	start := s.now()
-	defer func() { s.observe(s.runSeconds, start) }()
+	start := trace.Now(s.clock)
+	defer trace.Observe(s.clock, s.runSeconds, start)
 
 	sp, err := remote.DecodeRunRequest(r.Body, s.lim)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	tr := s.trace(sp.Source, sp.Cell.TraceSeed)
 	key := sp.Cell.Key()
-
 	body, outcome, err := s.store.GetOrCompute(key, func() ([]byte, error) {
-		return s.simulate(key, sp, tr)
+		return s.simulate(key, sp)
 	})
 	if err != nil {
 		switch {
@@ -289,8 +251,8 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.Inc()
-	start := s.now()
-	defer func() { s.observe(s.resultSeconds, start) }()
+	start := trace.Now(s.clock)
+	defer trace.Observe(s.clock, s.resultSeconds, start)
 	key := strings.TrimPrefix(r.URL.Path, "/v1/result/")
 	if key == "" || strings.ContainsAny(key, "/.") {
 		s.fail(w, http.StatusBadRequest, "want /v1/result/<cell key>")
@@ -323,7 +285,10 @@ func (s *server) serveBody(w http.ResponseWriter, key string, outcome resultstor
 // the bytes that enter the store and therefore the bytes every future hit
 // serves. Only called inside the store's singleflight, so concurrent
 // identical requests cost exactly one queue slot and one simulation.
-func (s *server) simulate(key string, sp remote.Spec, tr *power.Trace) ([]byte, error) {
+func (s *server) simulate(key string, sp remote.Spec) ([]byte, error) {
+	tr := experiments.Trace(sp.Source, sp.Cell.TraceSeed)
+	cfg := sp.Config
+	cfg.Metrics = s.reg
 	t := task{
 		cell: harness.Cell{
 			Key:   key,
@@ -332,19 +297,9 @@ func (s *server) simulate(key string, sp remote.Spec, tr *power.Trace) ([]byte, 
 				if testRunHook != nil {
 					testRunHook(sp.Cell.App)
 				}
-				st, err := s.workloads.Stream(sp.Cell.App, sp.Cell.Scale)
-				if err != nil {
-					return nvp.Result{}, err
-				}
-				cfg := sp.Config
-				cfg.Metrics = s.reg
-				res, err := a.RunStreamContext(ctx, st, tr, cfg)
-				if err == nil && cfg.Paranoid && !res.Invariants.Clean() {
-					// Worth the supervisor's bounded retries before the
-					// request fails — never cached either way.
-					err = harness.Transient(fmt.Errorf("%s: %s", sp.Cell.App, res.Invariants.Summary()))
-				}
-				return res, err
+				// A dirty paranoid report fails transiently: worth the
+				// supervisor's bounded retries, never cached either way.
+				return experiments.Simulate(ctx, a, s.workloads, sp.Cell.App, sp.Cell.Scale, tr, cfg)
 			},
 		},
 		done: make(chan taskResult, 1),

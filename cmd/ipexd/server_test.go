@@ -312,9 +312,9 @@ func TestMetricsPartition(t *testing.T) {
 }
 
 // TestBadRequests pins the client-error surface: unknown fields, unknown
-// apps, bad scales, traces the server cannot generate, factories, and
-// configs nvp.Config.Validate rejects are all 400s (never simulated, never
-// cached).
+// apps, bad scales, traces the server cannot generate, factory names (a
+// func has no wire spelling, so the field is unknown), and configs
+// nvp.Config.Validate rejects are all 400s (never simulated, never cached).
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, "", 1, 2)
 	for name, body := range map[string]string{

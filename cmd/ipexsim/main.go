@@ -70,9 +70,9 @@ func main() {
 		harvestDrop   = flag.Float64("harvest-dropout", 0, "per-sample probability a harvest sample is zeroed")
 		harvestSpike  = flag.Float64("harvest-spike", 0, "per-sample probability a harvest sample spikes 4x")
 		harvestStorm  = flag.Float64("harvest-storm", 0, "per-sample probability a multi-sample brownout storm begins")
-		saveTrace  = flag.String("savetrace", "", "record the workload's access trace to this file and exit")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		saveTrace     = flag.String("savetrace", "", "record the workload's access trace to this file and exit")
+		cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memProfile    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 

@@ -1,15 +1,13 @@
 package experiments
 
 import (
-	"errors"
-	"fmt"
-
 	"ipex/internal/capacitor"
 	"ipex/internal/core"
 	"ipex/internal/energy"
 	"ipex/internal/fault"
 	"ipex/internal/harness"
 	"ipex/internal/nvp"
+	"ipex/internal/power"
 	"ipex/internal/prefetch"
 )
 
@@ -20,13 +18,6 @@ import (
 // change a cell's identity: a re-run with tracing on replays the same
 // journaled result, and a cached result serves a request whether or not it
 // was produced under observation.
-//
-// Factory-built prefetchers are identified by their declared name
-// (nvp.Config.IPrefetcherID/DPrefetcherID), never by mere presence: two
-// different factories under a presence bit would collide to one key and
-// replay each other's results. A factory installed without an ID has no
-// identity at all — NewConfigIdentity refuses it, and the journal and
-// result cache treat such cells as unkeyable (they always simulate).
 type ConfigIdentity struct {
 	ICacheSize         int
 	DCacheSize         int
@@ -35,40 +26,32 @@ type ConfigIdentity struct {
 	PrefetchToCache    bool
 	IPrefetcher        prefetch.Kind
 	DPrefetcher        prefetch.Kind
-	// IFactory/DFactory carry the declared factory IDs ("" = no factory).
-	IFactory       string
-	DFactory       string
-	InitialDegree  int
-	IPEXInst       bool
-	IPEXData       bool
-	IPEX           core.Config
-	NVM            energy.NVMParams
-	Capacitor      capacitor.Config
-	Ideal          bool
-	DupSuppress    bool
-	ReissueOnExit  bool
-	GateAddressGen bool
-	RecordCycles   bool
-	MaxCycles      uint64
-	Faults         *fault.Config
-	Paranoid       bool
-	Profile        bool
+	InitialDegree      int
+	IPEXInst           bool
+	IPEXData           bool
+	IPEX               core.Config
+	NVM                energy.NVMParams
+	Capacitor          capacitor.Config
+	Ideal              bool
+	DupSuppress        bool
+	ReissueOnExit      bool
+	GateAddressGen     bool
+	RecordCycles       bool
+	MaxCycles          uint64
+	Faults             *fault.Config
+	Paranoid           bool
+	Profile            bool
 }
 
-// ErrUnnamedFactory reports a config whose prefetcher factory carries no
-// IPrefetcherID/DPrefetcherID: such a config has no stable content identity
-// and must never be journaled or served from a result cache.
-var ErrUnnamedFactory = errors.New("prefetcher factory installed without a PrefetcherID; the config has no stable content identity")
-
-// NewConfigIdentity derives the content identity of cfg. It fails with
-// ErrUnnamedFactory when a prefetcher factory is installed without its
-// identifying nvp.Config.IPrefetcherID/DPrefetcherID.
-func NewConfigIdentity(cfg nvp.Config) (ConfigIdentity, error) {
-	if cfg.IPrefetcherFactory != nil && cfg.IPrefetcherID == "" {
-		return ConfigIdentity{}, fmt.Errorf("experiments: instruction %w", ErrUnnamedFactory)
-	}
-	if cfg.DPrefetcherFactory != nil && cfg.DPrefetcherID == "" {
-		return ConfigIdentity{}, fmt.Errorf("experiments: data %w", ErrUnnamedFactory)
+// NewConfigIdentity derives the content identity of cfg. A prefetcher
+// factory is a func and has no stable identity, so neither has a config
+// carrying one: NewConfigIdentity panics on it, as harness.Key panics on
+// unhashable key material. Keying such a config by mere presence would let
+// two different factories replay each other's results. No sweep installs
+// a factory; a caller that does runs it through nvp.Run directly.
+func NewConfigIdentity(cfg nvp.Config) ConfigIdentity {
+	if cfg.IPrefetcherFactory != nil || cfg.DPrefetcherFactory != nil {
+		panic("experiments: a config carrying a prefetcher factory has no content identity")
 	}
 	return ConfigIdentity{
 		ICacheSize:         cfg.ICacheSize,
@@ -78,8 +61,6 @@ func NewConfigIdentity(cfg nvp.Config) (ConfigIdentity, error) {
 		PrefetchToCache:    cfg.PrefetchToCache,
 		IPrefetcher:        cfg.IPrefetcher,
 		DPrefetcher:        cfg.DPrefetcher,
-		IFactory:           cfg.IPrefetcherID,
-		DFactory:           cfg.DPrefetcherID,
 		InitialDegree:      cfg.InitialDegree,
 		IPEXInst:           cfg.IPEXInst,
 		IPEXData:           cfg.IPEXData,
@@ -95,24 +76,14 @@ func NewConfigIdentity(cfg nvp.Config) (ConfigIdentity, error) {
 		Faults:             cfg.Faults,
 		Paranoid:           cfg.Paranoid,
 		Profile:            cfg.Profile,
-	}, nil
+	}
 }
 
-// ErrFactoryIdentity reports an identity that names a prefetcher factory:
-// the ID says which factory ran, but a func cannot be rebuilt from its name,
-// so such an identity has no runnable config outside the process that holds
-// the factory.
-var ErrFactoryIdentity = errors.New("identity names a prefetcher factory; only the process holding the factory can run it")
-
 // NVPConfig is the inverse of NewConfigIdentity: the observer-free config
-// the identity describes, whose own identity is id again. It fails with
-// ErrFactoryIdentity when the identity names a prefetcher factory. The
-// /v1/run decoder in internal/remote relies on it to rebuild a sweep's cell
-// from its identity (TestConfigIdentityRoundTrip pins the inverse).
-func (id ConfigIdentity) NVPConfig() (nvp.Config, error) {
-	if id.IFactory != "" || id.DFactory != "" {
-		return nvp.Config{}, fmt.Errorf("experiments: %w (%q/%q)", ErrFactoryIdentity, id.IFactory, id.DFactory)
-	}
+// the identity describes, whose own identity is id again. The /v1/run
+// decoder in internal/remote relies on it to rebuild a sweep's cell from
+// its identity (TestConfigIdentityRoundTrip pins the inverse).
+func (id ConfigIdentity) NVPConfig() nvp.Config {
 	return nvp.Config{
 		ICacheSize:         id.ICacheSize,
 		DCacheSize:         id.DCacheSize,
@@ -136,7 +107,7 @@ func (id ConfigIdentity) NVPConfig() (nvp.Config, error) {
 		Faults:             id.Faults,
 		Paranoid:           id.Paranoid,
 		Profile:            id.Profile,
-	}, nil
+	}
 }
 
 // CellIdentity is the complete content identity of one simulation: what is
@@ -156,33 +127,30 @@ type CellIdentity struct {
 	Config    ConfigIdentity
 }
 
+// NewCellIdentity returns the identity of app at scale on the power trace
+// tr (generated from seed), under cfg. cfg must be the effective config —
+// budget clamp and paranoid flag applied, observers excluded. The sweep's
+// cell keys and the /v1/run bodies it sends are both built here, so the two
+// can never disagree on what a cell is.
+func NewCellIdentity(app string, scale float64, tr *power.Trace, seed uint64, cfg nvp.Config) CellIdentity {
+	return CellIdentity{
+		App:       app,
+		Scale:     scale,
+		TraceSeed: seed,
+		TraceName: tr.Name,
+		TraceLen:  len(tr.Samples),
+		Config:    NewConfigIdentity(cfg),
+	}
+}
+
 // Key hashes the identity into the 32-hex-digit content key used by the
 // journal and the result store.
 func (id CellIdentity) Key() string { return harness.Key(id) }
 
 // cellKey hashes the content identity of one job under the normalized
-// options. cfg must be the effective config (cell budget clamp and paranoid
-// flag already applied), minus observer attachments. A config with no
-// stable identity (unnamed prefetcher factory) returns "", which the
-// harness treats as unkeyable: the cell always simulates and is never
-// journaled or replayed.
+// options; cfg is the job's effective config.
 func cellKey(o Options, j job, cfg nvp.Config) string {
-	ci, err := NewConfigIdentity(cfg)
-	if err != nil {
-		return ""
-	}
-	name, n := "", 0
-	if j.tr != nil {
-		name, n = j.tr.Name, len(j.tr.Samples)
-	}
-	return CellIdentity{
-		App:       j.app,
-		Scale:     o.Scale,
-		TraceSeed: o.TraceSeed,
-		TraceName: name,
-		TraceLen:  n,
-		Config:    ci,
-	}.Key()
+	return NewCellIdentity(j.app, o.Scale, j.tr, o.TraceSeed, cfg).Key()
 }
 
 // SweepIdentity describes a whole sweep invocation for the journal header:

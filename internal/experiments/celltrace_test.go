@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ipex/internal/harness"
 	"ipex/internal/tracestat"
 )
 
@@ -20,7 +21,7 @@ func TestCellTracingParallelSweep(t *testing.T) {
 	o.Parallelism = 4
 	o.Cells = NewCellTracing(dir)
 	o.Cells.SetLabel("fig11")
-	o.Progress = &Progress{}
+	o.Sup = &harness.Supervisor{}
 
 	traced, err := Fig11(o)
 	if err != nil {
@@ -67,10 +68,10 @@ func TestCellTracingParallelSweep(t *testing.T) {
 		}
 	}
 
-	// Progress saw every cell.
-	done, total, insts := o.Progress.Snapshot()
-	if done != total || done != uint64(len(ents)) || insts == 0 {
-		t.Errorf("progress = %d/%d insts=%d, want %d/%d", done, total, insts, len(ents), len(ents))
+	// The supervisor's progress counters saw every cell.
+	cs := o.Sup.Counters.Snapshot()
+	if cs.Done != cs.Enqueued || cs.Done != uint64(len(ents)) || cs.Insts == 0 {
+		t.Errorf("progress = %d/%d insts=%d, want %d/%d", cs.Done, cs.Enqueued, cs.Insts, len(ents), len(ents))
 	}
 }
 
@@ -104,15 +105,13 @@ func TestCellNamesDeterministic(t *testing.T) {
 }
 
 func TestProgressNilSafe(t *testing.T) {
-	var p *Progress
-	p.addTotal(3)
-	p.jobDone(10)
-	if d, tot, i := p.Snapshot(); d != 0 || tot != 0 || i != 0 {
-		t.Error("nil Progress retained values")
+	var c *harness.Counters
+	if c.Snapshot() != (harness.CounterSnapshot{}) {
+		t.Error("nil Counters reported progress")
 	}
-	var c *CellTracing
-	c.SetLabel("x")
-	if c.Files() != 0 {
+	var ct *CellTracing
+	ct.SetLabel("x")
+	if ct.Files() != 0 {
 		t.Error("nil CellTracing retained values")
 	}
 }

@@ -155,7 +155,7 @@ func TestResumeRejectsChangedSweep(t *testing.T) {
 // and identical cells identically.
 func TestCellKeysSeparateConfigurations(t *testing.T) {
 	o := chaosOpts().norm()
-	tr := o.trace(0)
+	tr := Trace(0, o.TraceSeed)
 	j1 := job{app: "fft", tr: tr}
 	j1.cfg = o.effective(nvp.DefaultConfig())
 	k1 := cellKey(o, j1, j1.cfg)

@@ -49,9 +49,6 @@ type Options struct {
 	// independent clocks, so this composes with Parallelism; it overrides
 	// Tracer for the simulations themselves.
 	Cells *CellTracing
-	// Progress, when non-nil, is bumped as cells enqueue and complete, for
-	// live sweep telemetry (cmd/experiments -listen).
-	Progress *Progress
 	// Metrics, when non-nil, accumulates named counters across every run
 	// of the sweep (the dump then decomposes the whole sweep).
 	Metrics *trace.Registry
@@ -76,14 +73,9 @@ type Options struct {
 	// Sup, when non-nil, supervises every cell: durable journaling, replay
 	// on resume, bounded retries with deterministic backoff, a wall-clock
 	// backstop, and panic isolation. One Supervisor is shared across every
-	// experiment of a command invocation. Nil runs cells bare (but still
+	// experiment of a command invocation; its Counters track the sweep's
+	// progress for live telemetry. Nil runs cells bare (but still
 	// panic-isolated by the zero supervisor).
-	//
-	// Cell identities hash the effective nvp.Config; caller-installed
-	// prefetcher factories contribute their declared
-	// IPrefetcherID/DPrefetcherID names. A factory installed without an
-	// ID has no stable identity, so its cells are never journaled or
-	// replayed — they simulate every time.
 	Sup *harness.Supervisor
 	// CellBudget, when > 0, clamps every cell's nvp.Config.MaxCycles to at
 	// most this many simulated cycles — the deterministic per-cell
@@ -92,10 +84,10 @@ type Options struct {
 	// wall-clock watchdog is only the backstop behind it.
 	CellBudget uint64
 	// RemoteEncode, when non-nil, derives each cell's declarative /v1/run
-	// body (or nil when the cell is not expressible remotely); the result
-	// rides on harness.Cell.RemoteReq for Sup.Remote to execute on an ipexd
-	// fleet. Injected as a function (remote.EncodeCell) rather than imported
-	// so experiments does not depend on the remote package.
+	// body (or nil to keep the cell local); the result rides on
+	// harness.Cell.RemoteReq for Sup.Remote to execute on an ipexd fleet.
+	// Injected as a function (remote.EncodeCell) rather than imported so
+	// experiments does not depend on the remote package.
 	RemoteEncode RemoteEncoder
 }
 
@@ -128,7 +120,8 @@ func (o Options) norm() Options {
 
 // traceMemo caches generated power traces by (source, seed). Generation is
 // deterministic and traces are read-only once built, so every experiment of
-// a sweep shares one instance instead of re-synthesizing ~50k samples each.
+// a sweep, and every ipexd request, shares one instance instead of
+// re-synthesizing ~50k samples each.
 var traceMemo sync.Map
 
 type traceKey struct {
@@ -136,13 +129,14 @@ type traceKey struct {
 	seed uint64
 }
 
-// trace builds (or replays) the shared power trace for a source.
-func (o Options) trace(src power.Source) *power.Trace {
-	key := traceKey{src: src, seed: o.TraceSeed}
+// Trace builds (or replays) the shared default-length power trace for
+// (src, seed).
+func Trace(src power.Source, seed uint64) *power.Trace {
+	key := traceKey{src: src, seed: seed}
 	if v, ok := traceMemo.Load(key); ok {
 		return v.(*power.Trace)
 	}
-	v, _ := traceMemo.LoadOrStore(key, power.Generate(src, power.DefaultTraceSamples, o.TraceSeed))
+	v, _ := traceMemo.LoadOrStore(key, power.Generate(src, power.DefaultTraceSamples, seed))
 	return v.(*power.Trace)
 }
 
@@ -182,7 +176,6 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 	if store == nil {
 		store = workload.Shared()
 	}
-	o.Progress.addTotal(uint64(len(jobs)))
 	// Per-cell trace paths are reserved here, in enqueue order, so the file
 	// names are deterministic however the workers get scheduled. Creation
 	// is deferred to the cell body: a replayed cell simulates nothing and
@@ -207,18 +200,11 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 			Label: j.app,
 			Run:   o.cellRun(store, j, cfg, path),
 		}
-		if o.RemoteEncode != nil && cells[i].Key != "" {
+		if o.RemoteEncode != nil {
 			cells[i].RemoteReq = o.RemoteEncode(j.app, o.Scale, j.tr, o.TraceSeed, cfg, cells[i].Key)
 		}
 	}
-	pool := &harness.Pool{
-		Workers: o.Parallelism,
-		Ctx:     o.Ctx,
-		Sup:     o.Sup,
-		OnDone: func(_ int, res nvp.Result, _ error, _ bool) {
-			o.Progress.jobDone(res.Insts)
-		},
-	}
+	pool := &harness.Pool{Workers: o.Parallelism, Ctx: o.Ctx, Sup: o.Sup}
 	results, errs, interrupted := pool.Run(cells)
 	if interrupted != nil {
 		return nil, interrupted
@@ -237,22 +223,10 @@ func runAll(o Options, jobs []job) ([]nvp.Result, error) {
 // end to end; production code never sets it.
 var testCellHook func(app string)
 
-// cellRun builds the supervised body of one sweep cell. The context it
-// receives is the supervisor's wall-clock backstop (nil when unarmed) —
-// never the sweep's drain context — threaded into nvp.RunContext so a
-// wedged cell stops at its next power-cycle boundary. The cell simulates
-// straight off the store's shared immutable trace arena through the
-// worker's nvp.Arena, so a steady-state cell neither copies the workload
-// nor allocates simulation state.
+// cellRun builds the supervised body of one sweep cell: Simulate, plus the
+// cell's trace file when per-cell tracing is on.
 func (o Options) cellRun(store *workload.Store, j job, cfg nvp.Config, cellPath string) func(context.Context, *nvp.Arena) (nvp.Result, error) {
 	return func(ctx context.Context, a *nvp.Arena) (res nvp.Result, err error) {
-		st, err := store.Stream(j.app, o.Scale)
-		if err != nil {
-			return nvp.Result{}, err
-		}
-		if a == nil {
-			a = nvp.NewArena()
-		}
 		cfg.Tracer = o.Tracer
 		cfg.Metrics = o.Metrics
 		if cellPath != "" {
@@ -288,14 +262,29 @@ func (o Options) cellRun(store *workload.Store, j job, cfg nvp.Config, cellPath 
 		if testCellHook != nil {
 			testCellHook(j.app)
 		}
-		res, err = a.RunStreamContext(ctx, st, j.tr, cfg)
-		if err == nil && cfg.Paranoid && !res.Invariants.Clean() {
-			// Flagged runs are worth one more try (bounded by the
-			// supervisor's MaxRetries) before the sweep aborts.
-			err = harness.Transient(fmt.Errorf("experiments: %s: %s", j.app, res.Invariants.Summary()))
-		}
-		return res, err
+		return Simulate(ctx, a, store, j.app, o.Scale, j.tr, cfg)
 	}
+}
+
+// Simulate is the body of every cell, in a sweep and in ipexd alike: it
+// runs app at scale off store's shared immutable trace arena on the power
+// trace tr, through the worker's arena a, so a steady-state cell neither
+// copies the workload nor allocates simulation state. ctx is the
+// supervisor's wall-clock backstop (nil when unarmed), never a drain
+// context, so a wedged run stops at its next power-cycle boundary. A
+// paranoid run whose invariant report is dirty fails transiently: flagged
+// runs are worth one more try (bounded by the supervisor's MaxRetries)
+// before the caller gives up.
+func Simulate(ctx context.Context, a *nvp.Arena, store *workload.Store, app string, scale float64, tr *power.Trace, cfg nvp.Config) (nvp.Result, error) {
+	st, err := store.Stream(app, scale)
+	if err != nil {
+		return nvp.Result{}, err
+	}
+	res, err := a.RunStreamContext(ctx, st, tr, cfg)
+	if err == nil && cfg.Paranoid && !res.Invariants.Clean() {
+		err = harness.Transient(fmt.Errorf("experiments: %s: %s", app, res.Invariants.Summary()))
+	}
+	return res, err
 }
 
 // runPerApp runs one configuration for every app and returns results in app

@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"ipex/internal/nvp"
+	"ipex/internal/power"
 )
 
 // tiny returns options that keep test sweeps fast but still exercise the
@@ -78,33 +81,36 @@ func TestFig04(t *testing.T) {
 	}
 }
 
+// TestHeadlineShares derives Figures 10, 12, 14 and 15 and Table 2 from one
+// shared headline sweep.
 func TestHeadlineShares(t *testing.T) {
-	h, err := Headline(tiny())
+	h, err := runHeadline(tiny(), power.RFHome, nvp.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.Fig10.Rows) != 3 || len(h.Fig12.Rows) != 3 || len(h.Fig15.Rows) != 3 {
+	fig10, fig12, fig14, fig15, table2 := fig10From(h), fig12From(h), fig14From(h), fig15From(h), table2From(h)
+	if len(fig10.Rows) != 3 || len(fig12.Rows) != 3 || len(fig15.Rows) != 3 {
 		t.Fatal("row counts wrong")
 	}
 	// IPEX must reduce prefetch operations on average (Fig. 12's claim).
-	if h.Fig12.Mean <= 0 {
-		t.Errorf("mean prefetch reduction = %v, want positive", h.Fig12.Mean)
+	if fig12.Mean <= 0 {
+		t.Errorf("mean prefetch reduction = %v, want positive", fig12.Mean)
 	}
 	// Normalized breakdowns: baseline totals are exactly 1.
-	for _, row := range h.Fig14.Rows {
+	for _, row := range fig14.Rows {
 		if row.Base.Total() < 0.999 || row.Base.Total() > 1.001 {
 			t.Errorf("%s: base normalized total = %v", row.App, row.Base.Total())
 		}
 	}
 	// Table 2 metrics are probabilities.
-	for _, v := range []float64{h.Table2.BaseAccI, h.Table2.BaseAccD, h.Table2.IPEXAccI, h.Table2.IPEXAccD,
-		h.Table2.BaseCovI, h.Table2.BaseCovD, h.Table2.IPEXCovI, h.Table2.IPEXCovD} {
+	for _, v := range []float64{table2.BaseAccI, table2.BaseAccD, table2.IPEXAccI, table2.IPEXAccD,
+		table2.BaseCovI, table2.BaseCovD, table2.IPEXCovI, table2.IPEXCovD} {
 		if v < 0 || v > 1 {
 			t.Errorf("Table 2 metric out of range: %v", v)
 		}
 	}
 	// Renderers produce the paper's labels.
-	if !strings.Contains(h.Fig10.String(), "gmean") || !strings.Contains(h.Table2.String(), "NVSRAMCache") {
+	if !strings.Contains(fig10.String(), "gmean") || !strings.Contains(table2.String(), "NVSRAMCache") {
 		t.Error("renderers missing expected content")
 	}
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // headlineRuns bundles the per-app runs that Figures 10 and 12–15 plus
-// Table 2 all share, so the sweep executes once.
+// Table 2 all share, so the sweep executes once. Figure 11 runs the same
+// four configurations over the ideal base config.
 type headlineRuns struct {
 	apps     []string
 	noPf     []nvp.Result
-	base     []nvp.Result // NVSRAMCache + default prefetchers, degree 2
+	base     []nvp.Result // NVSRAMCache + the base config's prefetchers
 	ipexData []nvp.Result
 	ipexBoth []nvp.Result
 	// skipped lists apps dropped because some configuration exhausted its
@@ -22,10 +23,11 @@ type headlineRuns struct {
 	skipped []string
 }
 
-func runHeadline(o Options, src power.Source) (*headlineRuns, error) {
+// runHeadline runs cfg without prefetching, as is, and with IPEX on the
+// data and on both prefetchers, for every app on the src trace.
+func runHeadline(o Options, src power.Source, cfg nvp.Config) (*headlineRuns, error) {
 	o = o.norm()
-	tr := o.trace(src)
-	cfg := nvp.DefaultConfig()
+	tr := Trace(src, o.TraceSeed)
 	h := &headlineRuns{apps: o.Apps}
 	var err error
 	if h.noPf, err = runPerApp(o, cfg.WithoutPrefetch(), tr); err != nil {
@@ -73,7 +75,7 @@ type Fig10Result struct {
 
 // Fig10 reproduces Figure 10 with the RFHome trace.
 func Fig10(o Options) (*Fig10Result, error) {
-	h, err := runHeadline(o, power.RFHome)
+	h, err := runHeadline(o, power.RFHome, nvp.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -121,41 +123,15 @@ type Fig11Result struct {
 // runs with Ideal backup/restore, and speedups are normalized to the ideal
 // baseline with prefetchers.
 func Fig11(o Options) (*Fig11Result, error) {
-	o = o.norm()
-	tr := o.trace(power.RFHome)
 	ideal := nvp.DefaultConfig()
 	ideal.Ideal = true
-
-	noPf, err := runPerApp(o, ideal.WithoutPrefetch(), tr)
+	h, err := runHeadline(o, power.RFHome, ideal)
 	if err != nil {
 		return nil, err
 	}
-	base, err := runPerApp(o, ideal, tr)
-	if err != nil {
-		return nil, err
-	}
-	ipexD, err := runPerApp(o, ideal.WithIPEXData(), tr)
-	if err != nil {
-		return nil, err
-	}
-	ipexB, err := runPerApp(o, ideal.WithIPEX(), tr)
-	if err != nil {
-		return nil, err
-	}
-	apps, sets, skipped, err := filterComplete(o.Apps, noPf, base, ipexD, ipexB)
-	if err != nil {
-		return nil, err
-	}
-	noPf, base, ipexD, ipexB = sets[0], sets[1], sets[2], sets[3]
-	res := &Fig11Result{Skipped: skipped}
-	sNo, sD, sB := speedups(base, noPf), speedups(base, ipexD), speedups(base, ipexB)
-	for i, app := range apps {
-		res.Rows = append(res.Rows, Fig10Row{App: app, NoPf: sNo[i], IPEXData: sD[i], IPEXBoth: sB[i]})
-	}
-	res.GmeanNoPf = stats.Geomean(sNo)
-	res.GmeanIPEXData = stats.Geomean(sD)
-	res.GmeanIPEXBoth = stats.Geomean(sB)
-	return res, nil
+	f := fig10From(h)
+	return &Fig11Result{Rows: f.Rows, GmeanNoPf: f.GmeanNoPf, GmeanIPEXData: f.GmeanIPEXData,
+		GmeanIPEXBoth: f.GmeanIPEXBoth, Skipped: f.Skipped}, nil
 }
 
 // String renders the figure.
@@ -185,7 +161,7 @@ type Fig12Result struct {
 
 // Fig12 reproduces Figure 12.
 func Fig12(o Options) (*Fig12Result, error) {
-	h, err := runHeadline(o, power.RFHome)
+	h, err := runHeadline(o, power.RFHome, nvp.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +210,7 @@ type Fig13Result struct {
 
 // Fig13 reproduces Figure 13.
 func Fig13(o Options) (*Fig13Result, error) {
-	h, err := runHeadline(o, power.RFHome)
+	h, err := runHeadline(o, power.RFHome, nvp.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -291,7 +267,7 @@ type Fig14Result struct {
 
 // Fig14 reproduces Figure 14.
 func Fig14(o Options) (*Fig14Result, error) {
-	h, err := runHeadline(o, power.RFHome)
+	h, err := runHeadline(o, power.RFHome, nvp.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +331,7 @@ type Fig15Result struct {
 
 // Fig15 reproduces Figure 15.
 func Fig15(o Options) (*Fig15Result, error) {
-	h, err := runHeadline(o, power.RFHome)
+	h, err := runHeadline(o, power.RFHome, nvp.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +379,7 @@ type Table2Result struct {
 
 // Table2 reproduces Table 2.
 func Table2(o Options) (*Table2Result, error) {
-	h, err := runHeadline(o, power.RFHome)
+	h, err := runHeadline(o, power.RFHome, nvp.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -438,31 +414,4 @@ func (r *Table2Result) String() string {
 	t.Row("NVSRAMCache", stats.Pct(r.BaseAccI), stats.Pct(r.BaseAccD), stats.Pct(r.BaseCovI), stats.Pct(r.BaseCovD))
 	t.Row("IPEX", stats.Pct(r.IPEXAccI), stats.Pct(r.IPEXAccD), stats.Pct(r.IPEXCovI), stats.Pct(r.IPEXCovD))
 	return "Table 2: prefetch accuracy and coverage\n" + t.String() + skippedNote(r.Skipped)
-}
-
-// HeadlineResult bundles Figures 10 and 12–15 plus Table 2 from a single
-// shared sweep (what cmd/experiments -all uses).
-type HeadlineResult struct {
-	Fig10  *Fig10Result
-	Fig12  *Fig12Result
-	Fig13  *Fig13Result
-	Fig14  *Fig14Result
-	Fig15  *Fig15Result
-	Table2 *Table2Result
-}
-
-// Headline runs the shared sweep once and derives all six results.
-func Headline(o Options) (*HeadlineResult, error) {
-	h, err := runHeadline(o, power.RFHome)
-	if err != nil {
-		return nil, err
-	}
-	return &HeadlineResult{
-		Fig10:  fig10From(h),
-		Fig12:  fig12From(h),
-		Fig13:  fig13From(h),
-		Fig14:  fig14From(h),
-		Fig15:  fig15From(h),
-		Table2: table2From(h),
-	}, nil
 }

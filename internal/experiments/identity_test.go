@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"reflect"
 	"strconv"
 	"testing"
@@ -17,19 +16,11 @@ import (
 // Config field cannot silently drop out of the cell key (which would let
 // stale journal and cache entries match fresh requests).
 var nonIdentityConfigFields = map[string]string{
-	"Tracer":           "observer: a traced re-run replays the same result",
-	"Metrics":          "observer: counters never alter simulated behaviour",
-	"DisableFastPaths": "loop selection is bit-identical by contract (golden-pinned)",
-}
-
-// identityFieldAliases maps Config field names to the ConfigIdentity field
-// that carries them when the names differ. The factory funcs themselves
-// are unhashable; their declared IDs are the identity.
-var identityFieldAliases = map[string]string{
-	"IPrefetcherFactory": "IFactory",
-	"IPrefetcherID":      "IFactory",
-	"DPrefetcherFactory": "DFactory",
-	"DPrefetcherID":      "DFactory",
+	"Tracer":             "observer: a traced re-run replays the same result",
+	"Metrics":            "observer: counters never alter simulated behaviour",
+	"DisableFastPaths":   "loop selection is bit-identical by contract (golden-pinned)",
+	"IPrefetcherFactory": "a func has no identity: NewConfigIdentity panics on a config carrying one",
+	"DPrefetcherFactory": "a func has no identity: NewConfigIdentity panics on a config carrying one",
 }
 
 // TestConfigIdentityExhaustive pins the identity schema against the config
@@ -48,15 +39,11 @@ func TestConfigIdentityExhaustive(t *testing.T) {
 	covered := make(map[string]bool, idT.NumField())
 	for i := 0; i < cfgT.NumField(); i++ {
 		name := cfgT.Field(i).Name
-		target := name
-		if alias, ok := identityFieldAliases[name]; ok {
-			target = alias
-		}
-		if idFields[target] {
+		if idFields[name] {
 			if nonIdentityConfigFields[name] != "" {
-				t.Errorf("nvp.Config.%s is both in ConfigIdentity (as %s) and in the exclusion list; pick one", name, target)
+				t.Errorf("nvp.Config.%s is both in ConfigIdentity and in the exclusion list; pick one", name)
 			}
-			covered[target] = true
+			covered[name] = true
 			continue
 		}
 		if nonIdentityConfigFields[name] == "" {
@@ -78,9 +65,6 @@ func TestConfigIdentitySameTypes(t *testing.T) {
 	idT := reflect.TypeOf(ConfigIdentity{})
 	for i := 0; i < idT.NumField(); i++ {
 		f := idT.Field(i)
-		if f.Name == "IFactory" || f.Name == "DFactory" {
-			continue // string IDs standing in for funcs, by design
-		}
 		cf, ok := cfgT.FieldByName(f.Name)
 		if !ok {
 			continue // reported by TestConfigIdentityExhaustive
@@ -91,98 +75,25 @@ func TestConfigIdentitySameTypes(t *testing.T) {
 	}
 }
 
-// TestFactoryIdentityInKey pins the bugfix: factory-built prefetchers hash
-// by their declared ID, not by mere presence, so two different custom
-// prefetchers can no longer collide onto one cell key.
-func TestFactoryIdentityInKey(t *testing.T) {
-	factoryA := func() prefetch.Prefetcher { return prefetch.NewSequential() }
-	factoryB := func() prefetch.Prefetcher { return prefetch.NewStride(16) }
-
-	cfgA := nvp.DefaultConfig()
-	cfgA.DPrefetcherFactory = factoryA
-	cfgA.DPrefetcherID = "custom-a/v1"
-	cfgB := nvp.DefaultConfig()
-	cfgB.DPrefetcherFactory = factoryB
-	cfgB.DPrefetcherID = "custom-b/v1"
-
-	idA, err := NewConfigIdentity(cfgA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idB, err := NewConfigIdentity(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if harness.Key(idA) == harness.Key(idB) {
-		t.Fatal("two different factory IDs produced the same config identity")
-	}
-
-	// Same ID, either factory instance: identical identity (the ID is the
-	// contract; the caller versions it with behaviour).
-	cfgB2 := cfgB
-	cfgB2.DPrefetcherID = "custom-a/v1"
-	idB2, err := NewConfigIdentity(cfgB2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if harness.Key(idA) != harness.Key(idB2) {
-		t.Fatal("equal factory IDs produced different identities")
-	}
-
-	// A factory-built config must also differ from the same config without
-	// a factory.
-	plain, err := NewConfigIdentity(nvp.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if harness.Key(plain) == harness.Key(idA) {
-		t.Fatal("factory-built config hashed identically to the factory-free default")
-	}
-}
-
-// TestUnnamedFactoryRefused pins the refusal path: a factory without an ID
-// has no stable identity, so NewConfigIdentity rejects it and the sweep's
-// cellKey returns the empty key — which the harness treats as unkeyable
-// (never journaled, never replayed, always simulated).
-func TestUnnamedFactoryRefused(t *testing.T) {
-	cfg := nvp.DefaultConfig()
-	cfg.IPrefetcherFactory = func() prefetch.Prefetcher { return prefetch.NewSequential() }
-
-	if _, err := NewConfigIdentity(cfg); !errors.Is(err, ErrUnnamedFactory) {
-		t.Fatalf("unnamed instruction factory: got %v, want ErrUnnamedFactory", err)
-	}
-	cfgD := nvp.DefaultConfig()
-	cfgD.DPrefetcherFactory = func() prefetch.Prefetcher { return prefetch.NewStride(16) }
-	if _, err := NewConfigIdentity(cfgD); !errors.Is(err, ErrUnnamedFactory) {
-		t.Fatalf("unnamed data factory: got %v, want ErrUnnamedFactory", err)
-	}
-
-	o := Options{Scale: 0.02, TraceSeed: 1}.norm()
-	tr := o.trace(0)
-	if k := cellKey(o, job{app: "fft", tr: tr, cfg: cfg}, o.effective(cfg)); k != "" {
-		t.Fatalf("unnamed-factory cell got key %q, want \"\" (unkeyable)", k)
-	}
-
-	// Naming the factory restores a stable key.
-	cfg.IPrefetcherID = "custom/v1"
-	if k := cellKey(o, job{app: "fft", tr: tr, cfg: cfg}, o.effective(cfg)); k == "" {
-		t.Fatal("named-factory cell still unkeyable")
-	}
-}
-
-// TestUnnamedFactoryValidates pins nvp.Config.Validate's guard: an ID
-// without its factory is a configuration error (it would fork the key
-// space for behaviourally identical configs).
-func TestUnnamedFactoryValidates(t *testing.T) {
-	cfg := nvp.DefaultConfig()
-	cfg.IPrefetcherID = "ghost/v1"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("IPrefetcherID without a factory validated")
-	}
-	cfg = nvp.DefaultConfig()
-	cfg.DPrefetcherID = "ghost/v1"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("DPrefetcherID without a factory validated")
+// TestFactoryConfigHasNoIdentity pins the key-soundness invariant for
+// prefetcher factories: a func has no stable identity, so a config carrying
+// one must not get a key at all. Keying it by mere presence would let two
+// different factories replay each other's results; NewConfigIdentity
+// panics instead, for either side.
+func TestFactoryConfigHasNoIdentity(t *testing.T) {
+	factory := func() prefetch.Prefetcher { return prefetch.NewStride(16) }
+	inst, data := nvp.DefaultConfig(), nvp.DefaultConfig()
+	inst.IPrefetcherFactory = factory
+	data.DPrefetcherFactory = factory
+	for side, cfg := range map[string]nvp.Config{"instruction": inst, "data": data} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s factory: NewConfigIdentity returned an identity", side)
+				}
+			}()
+			NewConfigIdentity(cfg)
+		}()
 	}
 }
 
@@ -230,29 +141,13 @@ func fillNonZero(t *testing.T, v reflect.Value, path string, n *int) {
 // NewConfigIdentity — the property the /v1/run decoder rests on. Every
 // identity field, nested ones included, is set to a distinct non-zero value,
 // so a field NVPConfig forgot to carry comes back zero and fails the
-// comparison. Factory IDs cannot round-trip (a func does not travel), so
-// NVPConfig must refuse them instead.
+// comparison.
 func TestConfigIdentityRoundTrip(t *testing.T) {
 	var id ConfigIdentity
 	n := 0
 	fillNonZero(t, reflect.ValueOf(&id).Elem(), "ConfigIdentity", &n)
 
-	for _, named := range []ConfigIdentity{id, {IFactory: "custom/v1"}, {DFactory: "custom/v1"}} {
-		if _, err := named.NVPConfig(); !errors.Is(err, ErrFactoryIdentity) {
-			t.Fatalf("identity naming a factory (%q/%q): NVPConfig error %v, want ErrFactoryIdentity",
-				named.IFactory, named.DFactory, err)
-		}
-	}
-
-	id.IFactory, id.DFactory = "", ""
-	cfg, err := id.NVPConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := NewConfigIdentity(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := NewConfigIdentity(id.NVPConfig())
 	if !reflect.DeepEqual(back, id) {
 		t.Fatalf("identity → config → identity changed it:\n got %+v\nwant %+v", back, id)
 	}

@@ -33,7 +33,7 @@ var Fig01CacheSizes = []int{256, 512, 1024, 2048, 4096, 8192}
 // default — beyond it, leakage growth cancels the miss-rate benefit.
 func Fig01(o Options) (*Fig01Result, error) {
 	o = o.norm()
-	tr := o.trace(power.RFHome)
+	tr := Trace(power.RFHome, o.TraceSeed)
 
 	sets := make([][]nvp.Result, 0, len(Fig01CacheSizes))
 	for _, size := range Fig01CacheSizes {
@@ -114,7 +114,7 @@ type Fig02Result struct {
 // caches, prefetchers off).
 func Fig02(o Options) (*Fig02Result, error) {
 	o = o.norm()
-	rs, err := runPerApp(o, nvp.DefaultConfig().WithoutPrefetch(), o.trace(power.RFHome))
+	rs, err := runPerApp(o, nvp.DefaultConfig().WithoutPrefetch(), Trace(power.RFHome, o.TraceSeed))
 	if err != nil {
 		return nil, err
 	}

@@ -131,7 +131,7 @@ func TestTruncatedRunIsSkippedNotFatal(t *testing.T) {
 	// An absurdly small cycle budget forces an incomplete run.
 	cfg := nvp.DefaultConfig()
 	cfg.MaxCycles = 1000
-	rs, err := runPerApp(o, cfg, o.trace(power.RFHome))
+	rs, err := runPerApp(o, cfg, Trace(power.RFHome, o.TraceSeed))
 	if err != nil {
 		t.Fatal(err)
 	}

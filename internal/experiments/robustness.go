@@ -83,7 +83,7 @@ var robustSensorLevels = []sensorLevel{
 // faulted sensor between the capacitor and the controller.
 func RobustSensor(o Options) (*RobustResult, error) {
 	o = o.norm()
-	tr := o.trace(power.RFHome)
+	tr := Trace(power.RFHome, o.TraceSeed)
 
 	base := nvp.DefaultConfig()
 	base.Paranoid = true
@@ -134,7 +134,7 @@ var robustCkptProbs = []float64{0, 0.01, 0.05, 0.10, 0.20}
 // compares like against like.
 func RobustCkpt(o Options) (*RobustResult, error) {
 	o = o.norm()
-	tr := o.trace(power.RFHome)
+	tr := Trace(power.RFHome, o.TraceSeed)
 
 	res := &RobustResult{Title: "Robustness: IPEX speedup vs. checkpoint write-failure rate, RFHome"}
 	for _, p := range robustCkptProbs {

@@ -64,7 +64,7 @@ func ipexGain(o Options, tr *power.Trace, mut func(*nvp.Config)) (float64, []str
 // sweep evaluates ipexGain for a list of labelled mutations.
 func sweep(o Options, title string, src power.Source, labels []string, muts []func(*nvp.Config)) (*SweepResult, error) {
 	o = o.norm()
-	tr := o.trace(src)
+	tr := Trace(src, o.TraceSeed)
 	res := &SweepResult{Title: title}
 	for i, label := range labels {
 		g, skipped, err := ipexGain(o, tr, muts[i])
@@ -196,7 +196,7 @@ func Fig23(o Options) (*SweepResult, error) {
 	o = o.norm()
 	res := &SweepResult{Title: "Figure 23: IPEX speedup vs. power trace"}
 	for _, src := range power.Sources {
-		g, skipped, err := ipexGain(o, o.trace(src), nil)
+		g, skipped, err := ipexGain(o, Trace(src, o.TraceSeed), nil)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +297,7 @@ func AblationPrefetchDest(o Options) (*SweepResult, error) {
 // prefetcher (not an IPEX delta).
 func AblationDupSuppress(o Options) (*SweepResult, error) {
 	o = o.norm()
-	tr := o.trace(power.RFHome)
+	tr := Trace(power.RFHome, o.TraceSeed)
 	with := nvp.DefaultConfig()
 	without := with
 	without.DupSuppress = false

@@ -48,10 +48,10 @@ func NewObs(clock trace.Clock, reg *trace.Registry) *Obs {
 
 // now reads the clock; 0 when spans are off.
 func (o *Obs) now() time.Duration {
-	if o == nil || o.Clock == nil {
+	if o == nil {
 		return 0
 	}
-	return o.Clock.Now()
+	return trace.Now(o.Clock)
 }
 
 // observeBackoff records a deterministic retry delay; a no-op when spans
@@ -65,8 +65,7 @@ func (o *Obs) observeBackoff(d time.Duration) {
 
 // span records now-start into h; a no-op when spans are off.
 func (o *Obs) span(h *trace.Histogram, start time.Duration) {
-	if o == nil || o.Clock == nil {
-		return
+	if o != nil {
+		trace.Observe(o.Clock, h, start)
 	}
-	h.ObserveDuration(o.Clock.Now() - start)
 }

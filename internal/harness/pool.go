@@ -25,13 +25,10 @@ type Pool struct {
 	Workers int
 	// Ctx, when non-nil, stops dispatch once cancelled.
 	Ctx context.Context
-	// Sup supervises each cell; nil means bare execution (still
-	// panic-isolated via the zero Supervisor).
+	// Sup supervises each cell and counts its progress (Counters.Enqueued,
+	// Done, Insts); nil means bare execution (still panic-isolated via the
+	// zero Supervisor).
 	Sup *Supervisor
-	// OnDone, when non-nil, observes each finished cell (for progress
-	// counters); it is called from worker goroutines and must be
-	// thread-safe.
-	OnDone func(i int, res nvp.Result, err error, replayed bool)
 }
 
 // Run executes every cell and returns the per-cell results and errors in
@@ -47,6 +44,7 @@ func (p *Pool) Run(cells []Cell) ([]nvp.Result, []error, error) {
 	results := make([]nvp.Result, len(cells))
 	errs := make([]error, len(cells))
 	ran := make([]bool, len(cells))
+	sup.Counters.Enqueued.Add(uint64(len(cells)))
 
 	workers := p.Workers
 	if workers < 1 {
@@ -79,11 +77,10 @@ func (p *Pool) Run(cells []Cell) ([]nvp.Result, []error, error) {
 				if obs != nil {
 					obs.span(obs.QueueWait, enqueued[i])
 				}
-				res, err, replayed := sup.RunCell(cells[i], arena)
+				res, err, _ := sup.RunCell(cells[i], arena)
 				results[i], errs[i], ran[i] = res, err, true
-				if p.OnDone != nil {
-					p.OnDone(i, res, err, replayed)
-				}
+				sup.Counters.Done.Add(1)
+				sup.Counters.Insts.Add(res.Insts)
 			}
 		}()
 	}

@@ -11,12 +11,15 @@ import (
 	"ipex/internal/nvp"
 )
 
+// cellInsts is the instruction count every makeCells cell reports.
+const cellInsts = 1000
+
 func makeCells(n int) []Cell {
 	cells := make([]Cell, n)
 	for i := range cells {
 		app := fmt.Sprintf("app%02d", i)
 		cells[i] = Cell{Key: Key(app), Label: app, Run: func(context.Context, *nvp.Arena) (nvp.Result, error) {
-			return nvp.Result{App: app, Completed: true}, nil
+			return nvp.Result{App: app, Completed: true, Insts: cellInsts}, nil
 		}}
 	}
 	return cells
@@ -116,17 +119,18 @@ func TestPoolCancelMidSweepKeepsInFlightResults(t *testing.T) {
 	}
 }
 
+// TestPoolOnDoneObservesEveryCell pins the pool's progress counters: every
+// enqueued cell is counted done, with the instructions it simulated.
 func TestPoolOnDoneObservesEveryCell(t *testing.T) {
 	cells := makeCells(8)
-	var done atomic.Uint64
-	p := &Pool{Workers: 3, OnDone: func(i int, res nvp.Result, err error, replayed bool) {
-		done.Add(1)
-	}}
+	sup := &Supervisor{}
+	p := &Pool{Workers: 3, Sup: sup}
 	if _, _, interrupted := p.Run(cells); interrupted != nil {
 		t.Fatal(interrupted)
 	}
-	if done.Load() != 8 {
-		t.Fatalf("OnDone ran %d times, want 8", done.Load())
+	cs := sup.Counters.Snapshot()
+	if cs.Enqueued != 8 || cs.Done != 8 || cs.Insts != 8*cellInsts {
+		t.Fatalf("progress = %d/%d insts=%d, want 8/8 insts=%d", cs.Done, cs.Enqueued, cs.Insts, 8*cellInsts)
 	}
 }
 

@@ -81,6 +81,13 @@ type Counters struct {
 	// Remote counts cells answered by a RemoteRunner (executed on an ipexd
 	// fleet, verified, and journaled without simulating locally).
 	Remote atomic.Uint64
+	// Enqueued counts cells handed to Pool.Run, Done the ones its workers
+	// finished (however answered), and Insts the instructions those cells
+	// simulated. A sweep's size is not known up front, so Done/Enqueued is
+	// "of the work discovered so far".
+	Enqueued atomic.Uint64
+	Done     atomic.Uint64
+	Insts    atomic.Uint64
 }
 
 // CounterSnapshot is a point-in-time copy of Counters.
@@ -88,8 +95,9 @@ type CounterSnapshot struct {
 	Executed, Replayed, Retried, Timeouts, Panics, Failures uint64
 	// Skipped is always 0: no cell is ever filtered out of a sweep. The
 	// field stays so existing readers of the snapshot keep compiling.
-	Skipped uint64
-	Remote  uint64
+	Skipped               uint64
+	Remote                uint64
+	Enqueued, Done, Insts uint64
 }
 
 // Snapshot reads every counter atomically (each individually; the set is
@@ -106,6 +114,9 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Panics:   c.Panics.Load(),
 		Failures: c.Failures.Load(),
 		Remote:   c.Remote.Load(),
+		Enqueued: c.Enqueued.Load(),
+		Done:     c.Done.Load(),
+		Insts:    c.Insts.Load(),
 	}
 }
 
@@ -129,8 +140,8 @@ type RemoteRunner interface {
 // state (never nil); implementations should run through it so steady-state
 // cells allocate nothing.
 type Cell struct {
-	// Key is the content-hash identity (see Key). Empty disables journal
-	// and replay for this cell (it always runs).
+	// Key is the content-hash identity (see Key): it files the cell's
+	// journal entry and finds its replay.
 	Key string
 	// Label names the cell in journal entries and diagnostics (the app).
 	Label string
@@ -139,8 +150,8 @@ type Cell struct {
 	Run func(ctx context.Context, a *nvp.Arena) (nvp.Result, error)
 	// RemoteReq, when non-empty, is the cell's declarative /v1/run body
 	// (remote.EncodeCell): proof that a fleet server would reconstruct this
-	// exact cell identity. Empty means the cell is not expressible remotely
-	// and always runs locally, RemoteRunner or not.
+	// exact cell identity. Empty means the cell always runs locally,
+	// RemoteRunner or not.
 	RemoteReq []byte
 }
 
@@ -215,7 +226,7 @@ func (s *Supervisor) admit() bool {
 
 // replay looks up a journaled result for the cell.
 func (s *Supervisor) replay(c Cell) (nvp.Result, bool) {
-	if s == nil || c.Key == "" {
+	if s == nil {
 		return nvp.Result{}, false
 	}
 	e := s.Replay[c.Key]
@@ -241,7 +252,7 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 	if res, ok := s.replay(c); ok {
 		return res, nil, true
 	}
-	if s != nil && s.Remote != nil && c.Key != "" && len(c.RemoteReq) > 0 {
+	if s != nil && s.Remote != nil && len(c.RemoteReq) > 0 {
 		res, handled, err := s.Remote.RunRemote(c.Key, c.Label, c.RemoteReq)
 		if handled {
 			if err != nil {
@@ -325,7 +336,7 @@ func (s *Supervisor) count(f func(*Counters)) {
 // the entryless side (the cell result is still returned; resume will
 // simply re-run it).
 func (s *Supervisor) journal(e Entry) {
-	if s == nil || s.Journal == nil || e.Key == "" {
+	if s == nil || s.Journal == nil {
 		return
 	}
 	start := s.Obs.now()

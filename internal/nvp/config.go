@@ -60,21 +60,11 @@ type Config struct {
 	// Kind selection with a caller-built prefetcher. A factory (rather
 	// than an instance) keeps runs independent: every simulation gets a
 	// fresh prefetcher. This is how user prefetchers integrate with IPEX
-	// (see examples/customprefetcher).
+	// (see examples/customprefetcher). A func has no content identity, so
+	// a config carrying a factory runs only through Run and its siblings:
+	// it cannot be journaled, cached or sent to ipexd.
 	IPrefetcherFactory func() prefetch.Prefetcher
 	DPrefetcherFactory func() prefetch.Prefetcher
-
-	// IPrefetcherID/DPrefetcherID name the corresponding factory for
-	// content-identity purposes: a func has no stable serializable
-	// identity, so journaling and result caching key factory-built
-	// prefetchers by this string instead. The name must change whenever
-	// the factory's behaviour changes (treat it like a version tag, e.g.
-	// "bitmap/v2"); two different factories under one ID would replay each
-	// other's results. Cells whose factory is installed without an ID are
-	// refused by the journal and the result cache — they always simulate.
-	// Setting an ID without its factory is a configuration error.
-	IPrefetcherID string
-	DPrefetcherID string
 
 	// InitialDegree is the conventional prefetch degree (R_ipd, default 2).
 	InitialDegree int
@@ -238,15 +228,6 @@ func (c Config) Validate() error {
 	}
 	if c.InitialDegree < 1 || c.InitialDegree > prefetch.MaxDegree {
 		return fmt.Errorf("nvp: initial degree %d out of [1,%d]", c.InitialDegree, prefetch.MaxDegree)
-	}
-	// A factory ID without its factory would make two behaviourally
-	// identical configs hash differently (and suggests the caller thinks a
-	// factory is installed when it is not); reject it up front.
-	if c.IPrefetcherID != "" && c.IPrefetcherFactory == nil {
-		return fmt.Errorf("nvp: IPrefetcherID %q set without an IPrefetcherFactory", c.IPrefetcherID)
-	}
-	if c.DPrefetcherID != "" && c.DPrefetcherFactory == nil {
-		return fmt.Errorf("nvp: DPrefetcherID %q set without a DPrefetcherFactory", c.DPrefetcherID)
 	}
 	// A factory overrides its side's Kind; without one, the Kind is what
 	// runs and must name a real prefetcher.

@@ -14,9 +14,9 @@ import (
 // so a disabled fault layer is bit-identical to no fault layer at all.
 type faultRuntime struct {
 	stats  fault.Stats
-	sensor *fault.Sensor      // nil unless the sensor family is active
+	sensor *fault.Sensor       // nil unless the sensor family is active
 	ckpt   *fault.Checkpointer // nil unless the checkpoint family is active
-	harv   *fault.Harvester   // nil unless the harvest family is active
+	harv   *fault.Harvester    // nil unless the harvest family is active
 }
 
 // newFaultRuntime builds the injectors for one run, or returns nil when the
@@ -85,7 +85,7 @@ func (s *System) checkpointWalk() (cycles uint64, nj float64) {
 	ck := s.flt.ckpt
 	st := &s.flt.stats
 	n := len(s.dirtyScratch)
-	var passC uint64  // cost of this pass's committed (not yet safe) writes
+	var passC uint64 // cost of this pass's committed (not yet safe) writes
 	var passNJ float64
 	rollbacks := 0
 	forced := false

@@ -16,7 +16,7 @@ import (
 // the profiler itself only observes (its wipe-sets are private bookkeeping),
 // so enabling it never changes a Result.
 type profiler struct {
-	rep profile.Report   // aggregate under construction (PowerCycles grows per flush)
+	rep profile.Report      // aggregate under construction (PowerCycles grows per flush)
 	cyc profile.CycleRecord // current power cycle's attribution
 
 	// recStart is the absolute cycle the current record began at.

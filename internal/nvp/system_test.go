@@ -317,7 +317,6 @@ func TestValidation(t *testing.T) {
 	withFactory := DefaultConfig()
 	withFactory.DPrefetcher = "unused"
 	withFactory.DPrefetcherFactory = func() prefetch.Prefetcher { return prefetch.NewStride(16) }
-	withFactory.DPrefetcherID = "stride16/v1"
 	if err := withFactory.Validate(); err != nil {
 		t.Errorf("factory-built data side rejected for its unused Kind: %v", err)
 	}

@@ -16,17 +16,13 @@ import (
 // truth EncodeCell must round-trip to.
 func keyFor(t *testing.T, app string, scale float64, tr *power.Trace, seed uint64, cfg nvp.Config) string {
 	t.Helper()
-	id, err := experiments.NewConfigIdentity(cfg)
-	if err != nil {
-		t.Fatalf("NewConfigIdentity: %v", err)
-	}
 	return experiments.CellIdentity{
 		App:       app,
 		Scale:     scale,
 		TraceSeed: seed,
 		TraceName: tr.Name,
 		TraceLen:  len(tr.Samples),
-		Config:    id,
+		Config:    experiments.NewConfigIdentity(cfg),
 	}.Key()
 }
 
@@ -138,53 +134,12 @@ func TestEncodeCellRemotableBattery(t *testing.T) {
 	}
 }
 
-// TestEncodeCellDeclinesInexpressible pins what stays local: a trace the
-// server cannot regenerate from a source name and seed, and a prefetcher
-// factory (a func does not travel). EncodeCell returns nil for them, so the
-// cell runs locally instead of being mis-keyed remotely.
+// TestEncodeCellDeclinesInexpressible pins the one decline: a wantKey the
+// cell's identity does not hash to (any mismatch between the sweep's key
+// and the request) returns nil, so the cell runs locally instead of
+// shipping a request filed under another key.
 func TestEncodeCellDeclinesInexpressible(t *testing.T) {
-	tr := defaultTrace()
-
-	withFactory := nvp.DefaultConfig()
-	withFactory.IPrefetcherFactory = func() prefetch.Prefetcher {
-		p, _ := prefetch.New(prefetch.Kind("sequential"))
-		return p
-	}
-	withFactory.IPrefetcherID = "custom-seq"
-
-	customTrace := power.Generate(power.RFHome, power.DefaultTraceSamples, 1)
-	customTrace.Name = "bench-recording-3"
-
-	shortTrace := power.Generate(power.RFHome, 1000, 1)
-
-	cases := []struct {
-		name string
-		tr   *power.Trace
-		cfg  nvp.Config
-	}{
-		{"prefetcher-factory", tr, withFactory},
-		{"custom-trace-name", customTrace, nvp.DefaultConfig()},
-		{"foreign-trace-length", shortTrace, nvp.DefaultConfig()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			key := keyFor(t, "fft", 0.1, tc.tr, 1, tc.cfg)
-			if body := EncodeCell("fft", 0.1, tc.tr, 1, tc.cfg, key); body != nil {
-				t.Fatalf("EncodeCell encoded an inexpressible cell: %s", body)
-			}
-		})
-	}
-
-	// Degenerate inputs.
-	if EncodeCell("fft", 0.1, nil, 1, nvp.DefaultConfig(), "abc") != nil {
-		t.Fatal("EncodeCell accepted a nil trace")
-	}
-	if EncodeCell("fft", 0.1, tr, 1, nvp.DefaultConfig(), "") != nil {
-		t.Fatal("EncodeCell accepted an empty key")
-	}
-	// A wrong wantKey (any mismatch between the sweep's identity and the
-	// request) must decline rather than ship a mis-keyed request.
-	if EncodeCell("fft", 0.1, tr, 1, nvp.DefaultConfig(), "00000000000000000000000000000000") != nil {
+	if EncodeCell("fft", 0.1, defaultTrace(), 1, nvp.DefaultConfig(), "00000000000000000000000000000000") != nil {
 		t.Fatal("EncodeCell accepted a key its identity does not hash to")
 	}
 }

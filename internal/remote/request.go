@@ -13,9 +13,8 @@
 // the journal and the result cache hash into a cell key. EncodeCell marshals
 // a sweep cell's identity; DecodeRunRequest, the server's decoder, rebuilds
 // the runnable config from it (ConfigIdentity.NVPConfig) and re-keys it.
-// There is no second spelling of a cell to keep in sync, so every built-in
-// cell is remotable; only custom or foreign-length power traces and
-// prefetcher factories stay local.
+// There is no second spelling of a cell to keep in sync, so every sweep
+// cell is remotable.
 //
 // Resilience stack (see DESIGN.md "Remote execution"):
 //   - per-server circuit breakers driven by saturating success/failure
@@ -76,16 +75,12 @@ type Spec struct {
 // keeps the paper's Table-1 default (nvp.DefaultConfig), scale 1, and the
 // default RFHome trace with seed 1.
 func defaultCell() experiments.CellIdentity {
-	cfg, err := experiments.NewConfigIdentity(nvp.DefaultConfig())
-	if err != nil {
-		panic(err) // the default config installs no factory
-	}
 	return experiments.CellIdentity{
 		Scale:     1,
 		TraceSeed: 1,
 		TraceName: power.RFHome.String(),
 		TraceLen:  power.DefaultTraceSamples,
-		Config:    cfg,
+		Config:    experiments.NewConfigIdentity(nvp.DefaultConfig()),
 	}
 }
 
@@ -123,10 +118,7 @@ func DecodeRunRequest(r io.Reader, lim Limits) (Spec, error) {
 	if id.TraceLen != power.DefaultTraceSamples {
 		return Spec{}, fmt.Errorf("trace length %d: this server generates %d-sample traces", id.TraceLen, power.DefaultTraceSamples)
 	}
-	cfg, err := id.Config.NVPConfig()
-	if err != nil {
-		return Spec{}, err
-	}
+	cfg := id.Config.NVPConfig()
 	if err := cfg.Validate(); err != nil {
 		return Spec{}, err
 	}
@@ -135,8 +127,6 @@ func DecodeRunRequest(r io.Reader, lim Limits) (Spec, error) {
 	if lim.CellBudget > 0 && (cfg.MaxCycles == 0 || cfg.MaxCycles > lim.CellBudget) {
 		cfg.MaxCycles = lim.CellBudget
 	}
-	if id.Config, err = experiments.NewConfigIdentity(cfg); err != nil {
-		return Spec{}, err
-	}
+	id.Config = experiments.NewConfigIdentity(cfg)
 	return Spec{Cell: id, Source: src, Config: cfg}, nil
 }

@@ -26,7 +26,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"ipex/internal/benchio"
 	"ipex/internal/trace"
@@ -165,22 +164,6 @@ func New(dir string, memEntries int, reg *trace.Registry) (*Store, error) {
 // requests. A nil clock (the default) keeps the store clock-free and the
 // histograms silent.
 func (s *Store) SetClock(c trace.Clock) { s.clock = c }
-
-// now reads the injected clock, 0 when none is installed.
-func (s *Store) now() time.Duration {
-	if s.clock == nil {
-		return 0
-	}
-	return s.clock.Now()
-}
-
-// observe records now-start into h when a clock is installed.
-func (s *Store) observe(h *trace.Histogram, start time.Duration) {
-	if s.clock == nil {
-		return
-	}
-	h.ObserveDuration(s.clock.Now() - start)
-}
 
 // Rates derives the cache hit ratio and coalesce rate from the outcome
 // counters, over successfully served requests (mem hits + disk hits +
@@ -326,10 +309,10 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte
 	body, ok := s.readDisk(key)
 	if !ok {
 		outcome = OutcomeComputed
-		start := s.now()
+		start := trace.Now(s.clock)
 		body, c.err = compute()
 		if c.err == nil {
-			s.observe(s.computeSeconds, start)
+			trace.Observe(s.clock, s.computeSeconds, start)
 		}
 	}
 	c.body = body
@@ -416,10 +399,10 @@ func (s *Store) writeDisk(key string, body []byte) error {
 // reads (a miss — usually a fast ENOENT — would only skew the latency
 // series).
 func (s *Store) readDisk(key string) ([]byte, bool) {
-	start := s.now()
+	start := trace.Now(s.clock)
 	body, ok := s.loadDisk(key)
 	if ok {
-		s.observe(s.diskReadSeconds, start)
+		trace.Observe(s.clock, s.diskReadSeconds, start)
 	}
 	return body, ok
 }

@@ -20,6 +20,24 @@ type Clock interface {
 	Now() time.Duration
 }
 
+// Now reads c, or returns 0 for a nil Clock: with no clock installed,
+// latency spans are off and cost one nil compare.
+func Now(c Clock) time.Duration {
+	if c == nil {
+		return 0
+	}
+	return c.Now()
+}
+
+// Observe records the span from start to now into h; a no-op for a nil
+// Clock.
+func Observe(c Clock, h *Histogram, start time.Duration) {
+	if c == nil {
+		return
+	}
+	h.ObserveDuration(c.Now() - start)
+}
+
 // wallClock reads the process monotonic clock. time.Since carries Go's
 // monotonic reading, so spans are immune to wall-clock steps (NTP, DST).
 type wallClock struct{ base time.Time }

@@ -84,10 +84,9 @@ type Access = workload.Access
 
 // Prefetcher is the degree-controlled prefetcher interface; implement it
 // and install a factory in Config.IPrefetcherFactory/DPrefetcherFactory to
-// run (and IPEX-throttle) a custom prefetcher. Name the factory with
-// Config.IPrefetcherID/DPrefetcherID (and version the name when its
-// behaviour changes) if its runs should be journalable and cacheable;
-// unnamed factories have no stable content identity and always simulate.
+// run (and IPEX-throttle) a custom prefetcher through Run. A factory is a
+// func and has no content identity, so its runs are never journaled,
+// cached or sent to ipexd.
 type Prefetcher = prefetch.Prefetcher
 
 // PrefetchEvent is the demand-access observation a Prefetcher receives.
