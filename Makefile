@@ -43,10 +43,13 @@ bench:
 bench-gate:
 	IPEX_BENCH_GATE=1 $(GO) test -run TestBenchGate -count=1 .
 
-# The golden determinism gate: simulator results must stay bit-identical to
-# testdata/golden_rfhome.json (captured before the hot-loop optimization).
+# The golden gates: simulator results must stay bit-identical to
+# testdata/golden_rfhome.json (captured before the hot-loop optimization),
+# and the cell-key schema must stay byte-identical to the pinned keys every
+# journal, result cache and fleet server files results under.
 golden:
 	$(GO) test -run TestGoldenDeterminism .
+	$(GO) test -run TestCellKeysPinned ./internal/experiments
 
 # The trace-analyzer golden gate: tracestat's rendered report for a pinned
 # traced run must stay byte-identical to its committed fixture (regenerate

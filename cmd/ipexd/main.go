@@ -11,8 +11,11 @@
 //	curl -s -X POST localhost:8375/v1/run \
 //	    -d '{"app":"fft","scale":0.05,"config":{"IPEXInst":true,"IPEXData":true}}'
 //
-// The body is the JSON of internal/experiments.CellIdentity; omitted fields
-// keep their defaults (nvp.DefaultConfig, scale 1, RFHome trace seed 1).
+// The body is the JSON of internal/experiments.CellIdentity, whose Config is
+// an nvp.Config decoded directly: every field but the five tagged json:"-"
+// (prefetcher factories, observers, the fast-path switch), which are
+// rejected as unknown. Omitted fields keep their defaults (nvp.DefaultConfig,
+// scale 1, RFHome trace seed 1).
 //
 // Endpoints: POST /v1/run (simulate or serve cached), GET /v1/result/<key>
 // (cache probe, no simulation), /metrics (Prometheus text), /healthz (200

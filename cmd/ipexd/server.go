@@ -287,7 +287,7 @@ func (s *server) serveBody(w http.ResponseWriter, key string, outcome resultstor
 // identical requests cost exactly one queue slot and one simulation.
 func (s *server) simulate(key string, sp remote.Spec) ([]byte, error) {
 	tr := experiments.Trace(sp.Source, sp.Cell.TraceSeed)
-	cfg := sp.Config
+	cfg := sp.Cell.Config
 	cfg.Metrics = s.reg
 	t := task{
 		cell: harness.Cell{

@@ -313,8 +313,10 @@ func TestMetricsPartition(t *testing.T) {
 
 // TestBadRequests pins the client-error surface: unknown fields, unknown
 // apps, bad scales, traces the server cannot generate, factory names (a
-// func has no wire spelling, so the field is unknown), and configs
-// nvp.Config.Validate rejects are all 400s (never simulated, never cached).
+// func has no wire spelling, so the field is unknown), the other nvp.Config
+// fields tagged json:"-" (outside the identity, so unknown on the wire too),
+// and configs nvp.Config.Validate rejects are all 400s (never simulated,
+// never cached).
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, "", 1, 2)
 	for name, body := range map[string]string{
@@ -328,6 +330,9 @@ func TestBadRequests(t *testing.T) {
 		"bad-source":      `{"app":"fft","TraceName":"mains"}`,
 		"short-trace":     `{"app":"fft","TraceLen":1000}`,
 		"factory":         `{"app":"fft","config":{"DFactory":"custom/v1"}}`,
+		"factory-field":   `{"app":"fft","config":{"DPrefetcherFactory":null}}`,
+		"observer-field":  `{"app":"fft","config":{"Tracer":{}}}`,
+		"fast-path-knob":  `{"app":"fft","config":{"DisableFastPaths":true}}`,
 		"bad-ipex":        `{"app":"fft","config":{"IPEXData":true,"IPEX":{"Enabled":true,"StepV":-1}}}`,
 		"bad-nvm":         `{"app":"fft","config":{"NVM":{"Tech":7}}}`,
 		"bad-nvm-energy":  `{"app":"fft","config":{"NVM":{"ReadNJ":-1}}}`,

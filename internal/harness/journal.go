@@ -65,8 +65,8 @@ type Entry struct {
 // Journal is an append-only JSONL record of completed sweep cells. Appends
 // are concurrency-safe and atomic at the line level: each entry is written
 // with a single O_APPEND write followed by an fsync, so a crash can at
-// worst truncate the final line — which resume detects and skips (the cell
-// is simply re-run).
+// worst truncate the final line — which resume detects and cuts off (the
+// cell is simply re-run).
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -137,7 +137,14 @@ func ResumeJournal(path, sweepKey string) (*Journal, map[string]*Entry, []string
 	}
 	entries := make(map[string]*Entry)
 	var warnings []string
-	sc := bufio.NewScanner(bytes.NewReader(b))
+	// A file not ending in a newline has a torn final line. Only whole
+	// lines are replayed, and the fragment is cut off below so the next
+	// append is not glued onto it (and lost with it on the next resume).
+	whole := bytes.LastIndexByte(b, '\n') + 1
+	if whole < len(b) {
+		warnings = append(warnings, fmt.Sprintf("%s: truncating a torn final line; its cell, if any, will be re-run", path))
+	}
+	sc := bufio.NewScanner(bytes.NewReader(b[:whole]))
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
 	line := 0
 	sawHeader := false
@@ -175,6 +182,15 @@ func ResumeJournal(path, sweepKey string) (*Journal, map[string]*Entry, []string
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("harness: reopening journal: %w", err)
+	}
+	if whole < len(b) {
+		if err := f.Truncate(int64(whole)); err == nil {
+			err = f.Sync()
+		}
+		if err != nil {
+			f.Close()
+			return nil, nil, nil, fmt.Errorf("harness: truncating torn journal tail: %w", err)
+		}
 	}
 	return &Journal{f: f, path: path}, entries, warnings, nil
 }

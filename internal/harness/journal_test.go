@@ -200,3 +200,53 @@ func TestResumeJournalAppendable(t *testing.T) {
 		t.Fatal("entry appended after resume was lost")
 	}
 }
+
+// TestResumeAfterTornTailKeepsNextAppend pins torn-tail recovery across two
+// resumes: the first entry appended after resuming a crash-truncated journal
+// must not be glued onto the torn fragment, or the next resume discards it
+// along with the fragment.
+func TestResumeAfterTornTailKeepsNextAppend(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	j, err := CreateJournal(path, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := nvp.Result{App: "fft", Completed: true}
+	j.Append(Entry{Kind: KindCell, Key: "before", App: "fft", Result: &res})
+	j.Close()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString("{\"kind\":\"cell\",\"key\":\"torn\",\"result\":{\"App\"")
+	f.Close()
+
+	j2, _, warns, err := ResumeJournal(path, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warns) != 1 {
+		t.Fatalf("warnings = %v, want exactly 1 (the torn tail)", warns)
+	}
+	if err := j2.Append(Entry{Kind: KindCell, Key: "after", App: "fft", Result: &res}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	j3, entries, warns, err := ResumeJournal(path, "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	for _, key := range []string{"before", "after"} {
+		if entries[key] == nil {
+			t.Errorf("entry %q lost across the torn-tail resume", key)
+		}
+	}
+	if entries["torn"] != nil {
+		t.Error("torn entry survived")
+	}
+	if len(warns) != 0 {
+		t.Errorf("second resume warnings = %v, want none: the torn tail was not cut", warns)
+	}
+}

@@ -28,6 +28,12 @@ import (
 
 // Config assembles one system. The zero value is not runnable; start from
 // DefaultConfig.
+//
+// A Config's JSON is its content identity, the config half of a sweep
+// cell's key (experiments.CellIdentity), so a new field enters the key by
+// itself. The fields tagged json:"-" cannot change a result or have no
+// identity (a func); renaming, retyping or reordering any other changes
+// every key.
 type Config struct {
 	// ICacheSize/DCacheSize are per-cache capacities in bytes (paper
 	// default 2 kB each); Ways the associativity (default 4).
@@ -63,8 +69,8 @@ type Config struct {
 	// (see examples/customprefetcher). A func has no content identity, so
 	// a config carrying a factory runs only through Run and its siblings:
 	// it cannot be journaled, cached or sent to ipexd.
-	IPrefetcherFactory func() prefetch.Prefetcher
-	DPrefetcherFactory func() prefetch.Prefetcher
+	IPrefetcherFactory func() prefetch.Prefetcher `json:"-"`
+	DPrefetcherFactory func() prefetch.Prefetcher `json:"-"`
 
 	// InitialDegree is the conventional prefetch degree (R_ipd, default 2).
 	InitialDegree int
@@ -121,12 +127,12 @@ type Config struct {
 	// Lines. One tracer serves one run at a time: it carries the run's
 	// cycle clock. Nil (the default) costs nothing — every emission site
 	// is a single nil compare.
-	Tracer *trace.Tracer
+	Tracer *trace.Tracer `json:"-"`
 
 	// Metrics, when non-nil, accumulates named end-of-run counters
 	// (prefetch outcomes, energy split, outage counts). A registry may be
 	// shared across runs to aggregate a sweep. Nil costs nothing.
-	Metrics *trace.Registry
+	Metrics *trace.Registry `json:"-"`
 
 	// Faults, when non-nil with at least one active injector family,
 	// applies the deterministic fault schedule it describes: a non-ideal
@@ -149,7 +155,7 @@ type Config struct {
 	// cross-check, for per-path benchmarking, and as an escape hatch while
 	// diagnosing a suspected fast-path divergence. Off (fast paths on) by
 	// default.
-	DisableFastPaths bool
+	DisableFastPaths bool `json:"-"`
 
 	// Profile enables the cycle/energy attribution profiler: every simulated
 	// cycle and every nanojoule drained from the capacitor is charged to a

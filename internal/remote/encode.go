@@ -12,7 +12,8 @@ import (
 // experiments.CellIdentity, built by experiments.NewCellIdentity exactly as
 // the sweep keyed the cell. tr must be the cell's power trace, wantKey the
 // key runAll computed for the cell, and cfg the effective config — budget
-// clamp and paranoid flag applied, observers excluded. The identity built
+// clamp and paranoid flag applied; its fields tagged json:"-" (observers,
+// the fast-path switch) never reach the body. The identity built
 // here must hash to wantKey; a mismatch returns nil (the cell runs locally)
 // rather than ship a request filed under another key.
 func EncodeCell(app string, scale float64, tr *power.Trace, traceSeed uint64, cfg nvp.Config, wantKey string) []byte {

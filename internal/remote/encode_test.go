@@ -22,7 +22,7 @@ func keyFor(t *testing.T, app string, scale float64, tr *power.Trace, seed uint6
 		TraceSeed: seed,
 		TraceName: tr.Name,
 		TraceLen:  len(tr.Samples),
-		Config:    experiments.NewConfigIdentity(cfg),
+		Config:    cfg,
 	}.Key()
 }
 

@@ -11,10 +11,10 @@
 // The package also owns the /v1/run wire format, which is the cell identity
 // itself: the body is the JSON of experiments.CellIdentity, the same value
 // the journal and the result cache hash into a cell key. EncodeCell marshals
-// a sweep cell's identity; DecodeRunRequest, the server's decoder, rebuilds
-// the runnable config from it (ConfigIdentity.NVPConfig) and re-keys it.
-// There is no second spelling of a cell to keep in sync, so every sweep
-// cell is remotable.
+// a sweep cell's identity; DecodeRunRequest, the server's decoder, decodes
+// it straight into the runnable nvp.Config and re-keys it. There is no
+// second spelling of a cell to keep in sync, so every sweep cell is
+// remotable.
 //
 // Resilience stack (see DESIGN.md "Remote execution"):
 //   - per-server circuit breakers driven by saturating success/failure
@@ -61,40 +61,33 @@ type Limits struct {
 // Spec is a validated /v1/run request.
 type Spec struct {
 	// Cell is the identity the server files the result under: the decoded
-	// identity re-keyed after the server's limits applied. Cell.Key() is the
-	// cache key and the X-Ipex-Key response header.
+	// identity after the server's limits applied. Cell.Config is the
+	// runnable, validated, observer-free config of the cell, and Cell.Key()
+	// is the cache key and the X-Ipex-Key response header.
 	Cell experiments.CellIdentity
 	// Source is the power source Cell.TraceName names; the server
 	// generates the trace from it and Cell.TraceSeed.
 	Source power.Source
-	// Config is the runnable, validated, observer-free config of the cell.
-	Config nvp.Config
-}
-
-// defaultCell is what a /v1/run body decodes over, so an omitted field
-// keeps the paper's Table-1 default (nvp.DefaultConfig), scale 1, and the
-// default RFHome trace with seed 1.
-func defaultCell() experiments.CellIdentity {
-	return experiments.CellIdentity{
-		Scale:     1,
-		TraceSeed: 1,
-		TraceName: power.RFHome.String(),
-		TraceLen:  power.DefaultTraceSamples,
-		Config:    experiments.NewConfigIdentity(nvp.DefaultConfig()),
-	}
 }
 
 // DecodeRunRequest parses and validates a /v1/run body: the JSON of an
-// experiments.CellIdentity, at most MaxRequestBody bytes, decoded over
-// defaultCell. It is the single decoder for the endpoint — the server calls
-// it, and FuzzRunRequest fuzzes it. Every error is a client error (HTTP
-// 400).
+// experiments.CellIdentity, at most MaxRequestBody bytes, decoded over the
+// defaults, so an omitted field keeps the paper's Table-1 config
+// (nvp.DefaultConfig), scale 1, and the RFHome trace with seed 1. It is the
+// single decoder for the endpoint — the server calls it, and
+// FuzzRunRequest fuzzes it. Every error is a client error (HTTP 400).
 func DecodeRunRequest(r io.Reader, lim Limits) (Spec, error) {
 	dec := json.NewDecoder(io.LimitReader(r, MaxRequestBody))
 	// Unknown fields are a client error, not a default: a typo'd knob must
 	// not silently hash to (and be served as) a different configuration.
 	dec.DisallowUnknownFields()
-	id := defaultCell()
+	id := experiments.CellIdentity{
+		Scale:     1,
+		TraceSeed: 1,
+		TraceName: power.RFHome.String(),
+		TraceLen:  power.DefaultTraceSamples,
+		Config:    nvp.DefaultConfig(),
+	}
 	if err := dec.Decode(&id); err != nil {
 		return Spec{}, fmt.Errorf("decoding request: %w", err)
 	}
@@ -118,15 +111,13 @@ func DecodeRunRequest(r io.Reader, lim Limits) (Spec, error) {
 	if id.TraceLen != power.DefaultTraceSamples {
 		return Spec{}, fmt.Errorf("trace length %d: this server generates %d-sample traces", id.TraceLen, power.DefaultTraceSamples)
 	}
-	cfg := id.Config.NVPConfig()
-	if err := cfg.Validate(); err != nil {
+	if err := id.Config.Validate(); err != nil {
 		return Spec{}, err
 	}
 	// The server's deterministic cycle budget clamps — and therefore enters
 	// — the cell's identity, exactly like a sweep's -cell-budget.
-	if lim.CellBudget > 0 && (cfg.MaxCycles == 0 || cfg.MaxCycles > lim.CellBudget) {
-		cfg.MaxCycles = lim.CellBudget
+	if mc := id.Config.MaxCycles; lim.CellBudget > 0 && (mc == 0 || mc > lim.CellBudget) {
+		id.Config.MaxCycles = lim.CellBudget
 	}
-	id.Config = experiments.NewConfigIdentity(cfg)
-	return Spec{Cell: id, Source: src, Config: cfg}, nil
+	return Spec{Cell: id, Source: src}, nil
 }

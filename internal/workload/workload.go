@@ -406,13 +406,6 @@ func pickSpaced(xs []uint64, n int) []uint64 {
 	return out
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Name implements Generator.
 func (g *gen) Name() string { return g.spec.name }
 
