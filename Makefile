@@ -57,25 +57,37 @@ golden:
 tracestat-golden:
 	$(GO) test -run TestGoldenReport ./internal/tracestat
 
-# Resume smoke: run–interrupt–resume–diff against the real binary. The
-# resumed sweep's -json output must be byte-identical to an uninterrupted
-# run (the tentpole guarantee of the crash-safe harness).
+# Resume smoke: run–interrupt–resume–diff against the real binary, in two
+# rounds: Figure 11, and the whole suite on two apps (340 cells over 226
+# distinct keys). The resumed sweep's -json output must be byte-identical
+# to an uninterrupted run (the tentpole guarantee of the crash-safe
+# harness), and the uninterrupted suite must report shared cells: each
+# distinct cell is simulated once per sweep, beneath the journal.
 resume-smoke:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/experiments ./cmd/experiments || exit 1; \
-	args="-exp fig11 -scale 0.02 -apps fft,gsme -json"; \
-	$$tmp/experiments $$args >$$tmp/golden.json || exit 1; \
-	$$tmp/experiments $$args -journal $$tmp/sweep.jsonl -interrupt-after 2 \
-		>$$tmp/partial.json 2>$$tmp/interrupt.log; \
-	status=$$?; \
-	if [ $$status -ne 130 ]; then \
-		echo "resume-smoke: interrupted run exited $$status, want 130"; \
-		cat $$tmp/interrupt.log; exit 1; \
-	fi; \
-	$$tmp/experiments $$args -journal $$tmp/sweep.jsonl -resume >$$tmp/resumed.json || exit 1; \
-	diff -u $$tmp/golden.json $$tmp/resumed.json \
-		|| { echo "resume-smoke: resumed output differs from golden"; exit 1; }; \
-	echo "resume-smoke: resumed sweep is byte-identical to the uninterrupted golden"
+	round() { \
+		name=$$1; stop=$$2; shift 2; \
+		$$tmp/experiments "$$@" -journal $$tmp/$$name-golden.jsonl \
+			>$$tmp/$$name-golden.json 2>$$tmp/$$name-golden.log \
+			|| { cat $$tmp/$$name-golden.log; exit 1; }; \
+		$$tmp/experiments "$$@" -journal $$tmp/$$name.jsonl -interrupt-after $$stop \
+			>$$tmp/$$name-partial.json 2>$$tmp/$$name-interrupt.log; \
+		status=$$?; \
+		if [ $$status -ne 130 ]; then \
+			echo "resume-smoke: $$name: interrupted run exited $$status, want 130"; \
+			cat $$tmp/$$name-interrupt.log; exit 1; \
+		fi; \
+		$$tmp/experiments "$$@" -journal $$tmp/$$name.jsonl -resume >$$tmp/$$name-resumed.json || exit 1; \
+		diff -u $$tmp/$$name-golden.json $$tmp/$$name-resumed.json \
+			|| { echo "resume-smoke: $$name: resumed output differs from golden"; exit 1; }; \
+		echo "resume-smoke: $$name: resumed sweep is byte-identical to the uninterrupted golden"; \
+	}; \
+	round fig11 2 -exp fig11 -scale 0.02 -apps fft,gsme -json; \
+	round all 100 -all -scale 0.02 -apps fft,gsme -json; \
+	grep -Eq '^supervision: [0-9]+ cell\(s\) executed \([1-9][0-9]* shared\)' $$tmp/all-golden.log \
+		|| { echo "resume-smoke: all: the uninterrupted suite shared no cell:"; cat $$tmp/all-golden.log; exit 1; }; \
+	grep '^supervision:' $$tmp/all-golden.log
 
 # Service smoke: start a real ipexd, prove the miss-then-hit contract over
 # HTTP (second identical request is a cache hit, byte-identical to the fresh

@@ -546,8 +546,8 @@ func main() {
 	telemetryShutdown()
 
 	if cs := sup.Counters.Snapshot(); cs != (harness.CounterSnapshot{}) && (journal != nil || interrupted || rc != nil || cs.Retried+cs.Panics+cs.Timeouts > 0) {
-		fmt.Fprintf(os.Stderr, "supervision: %d cell(s) executed, %d replayed, %d remote, %d retried, %d timeouts, %d panics, %d failed\n",
-			cs.Executed, cs.Replayed, cs.Remote, cs.Retried, cs.Timeouts, cs.Panics, cs.Failures)
+		fmt.Fprintf(os.Stderr, "supervision: %d cell(s) executed (%d shared), %d replayed, %d remote, %d retried, %d timeouts, %d panics, %d failed\n",
+			cs.Executed, cs.Shared, cs.Replayed, cs.Remote, cs.Retried, cs.Timeouts, cs.Panics, cs.Failures)
 	}
 	if rc != nil {
 		fmt.Fprintln(os.Stderr, rc.Summary())

@@ -70,8 +70,10 @@ func (t *telemetry) metrics(w http.ResponseWriter, _ *http.Request) {
 	gauge("ipex_sweep_elapsed_seconds", "wall-clock time since the sweep started", elapsed)
 	gauge("ipex_sweep_cells_per_second", "completed cells per wall-clock second", rate)
 	gauge("ipex_sweep_eta_seconds", "estimated seconds until the enqueued cells finish", eta)
-	// Supervision counters (crash-safe harness): journal replays, retries,
-	// watchdog timeouts, isolated panics, and journaled failures.
+	// Supervision counters (crash-safe harness): shared duplicates, journal
+	// replays, retries, watchdog timeouts, isolated panics, and journaled
+	// failures.
+	gauge("ipex_sweep_cells_shared", "executed cells answered by an identical cell already simulated in this sweep", float64(cs.Shared))
 	gauge("ipex_sweep_cells_replayed", "cells answered from the resume journal without simulating", float64(cs.Replayed))
 	gauge("ipex_sweep_cells_remote", "cells executed on the ipexd fleet (verified remote results)", float64(cs.Remote))
 	gauge("ipex_sweep_cells_retried", "cell re-runs after a transient failure", float64(cs.Retried))

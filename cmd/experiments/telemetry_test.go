@@ -67,6 +67,7 @@ func TestTelemetryEndpoints(t *testing.T) {
 		// Supervision counters from the crash-safe harness ride along; this
 		// unsupervised-but-counted sweep executed every cell and replayed,
 		// retried, and panicked none.
+		"# TYPE ipex_sweep_cells_shared gauge",
 		"# TYPE ipex_sweep_cells_replayed gauge",
 		"ipex_sweep_cells_replayed 0",
 		"# TYPE ipex_sweep_cells_retried gauge",

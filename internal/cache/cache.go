@@ -164,10 +164,12 @@ func uintLog2(n int) uint {
 // caller decides how the fill happens (from the prefetch buffer or NVM) and
 // calls Fill.
 //
-// The body is just the hinted-way probe — small enough to inline into the
-// simulator's hot loops, so the dominant re-touch-the-same-line case costs
-// no call at all; everything else lives in accessSlow. index(addr) needs no
-// prior block alignment: the block-offset bits are shifted away anyway.
+// The body is just the hinted-way probe, so the dominant
+// re-touch-the-same-line case is one short call with no way scan;
+// everything else lives in accessSlow. The probe is still too large to
+// inline (go build -gcflags=-m=2 reports cost 149 against the budget of
+// 80). index(addr) needs no prior block alignment: the block-offset bits
+// are shifted away anyway.
 func (c *Cache) Access(addr uint64, write bool) bool {
 	c.stats.Accesses++
 	c.tick++
@@ -186,7 +188,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	return c.accessSlow(set, tag, h, write)
 }
 
-// accessSlow finishes an access the inlined hinted probe could not: it
+// accessSlow finishes an access the hinted probe could not: it
 // re-examines the hinted way (it may have matched but needed first-use
 // bookkeeping), then scans the remaining ways.
 func (c *Cache) accessSlow(set int, tag uint64, h int, write bool) bool {

@@ -27,7 +27,8 @@ type Pool struct {
 	Ctx context.Context
 	// Sup supervises each cell and counts its progress (Counters.Enqueued,
 	// Done, Insts); nil means bare execution (still panic-isolated via the
-	// zero Supervisor).
+	// zero Supervisor). Cells whose key Sup has already executed, in this
+	// batch or an earlier one, share that simulation's result.
 	Sup *Supervisor
 }
 
@@ -77,7 +78,7 @@ func (p *Pool) Run(cells []Cell) ([]nvp.Result, []error, error) {
 				if obs != nil {
 					obs.span(obs.QueueWait, enqueued[i])
 				}
-				res, err, _ := sup.RunCell(cells[i], arena)
+				res, err := sup.runShared(cells[i], arena)
 				results[i], errs[i], ran[i] = res, err, true
 				sup.Counters.Done.Add(1)
 				sup.Counters.Insts.Add(res.Insts)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,9 +66,12 @@ func (p *PanicError) Error() string {
 // atomics, safe to read while a sweep runs.
 type Counters struct {
 	// Executed counts cells that ran in this process; Replayed counts
-	// cells answered from the journal without simulating.
+	// cells answered from the journal without simulating. Shared counts
+	// the subset of Executed that a Pool worker answered with the result
+	// of an identical cell (same key) already simulated in this sweep.
 	Executed atomic.Uint64
 	Replayed atomic.Uint64
+	Shared   atomic.Uint64
 	// Retried counts re-runs after a transient failure or truncation;
 	// Timeouts counts wall-clock backstop expiries (a subset of the
 	// retries until MaxRetries is exhausted).
@@ -82,9 +86,10 @@ type Counters struct {
 	// fleet, verified, and journaled without simulating locally).
 	Remote atomic.Uint64
 	// Enqueued counts cells handed to Pool.Run, Done the ones its workers
-	// finished (however answered), and Insts the instructions those cells
-	// simulated. A sweep's size is not known up front, so Done/Enqueued is
-	// "of the work discovered so far".
+	// finished (however answered), and Insts the instructions in those
+	// cells' results (replayed and shared cells included). A sweep's size
+	// is not known up front, so Done/Enqueued is "of the work discovered
+	// so far".
 	Enqueued atomic.Uint64
 	Done     atomic.Uint64
 	Insts    atomic.Uint64
@@ -93,6 +98,7 @@ type Counters struct {
 // CounterSnapshot is a point-in-time copy of Counters.
 type CounterSnapshot struct {
 	Executed, Replayed, Retried, Timeouts, Panics, Failures uint64
+	Shared                                                  uint64
 	// Skipped is always 0: no cell is ever filtered out of a sweep. The
 	// field stays so existing readers of the snapshot keep compiling.
 	Skipped               uint64
@@ -109,6 +115,7 @@ func (c *Counters) Snapshot() CounterSnapshot {
 	return CounterSnapshot{
 		Executed: c.Executed.Load(),
 		Replayed: c.Replayed.Load(),
+		Shared:   c.Shared.Load(),
 		Retried:  c.Retried.Load(),
 		Timeouts: c.Timeouts.Load(),
 		Panics:   c.Panics.Load(),
@@ -158,9 +165,11 @@ type Cell struct {
 // Supervisor wraps every cell of a sweep in the crash-safety envelope:
 // journal replay, bounded retries with deterministic exponential backoff,
 // an optional wall-clock watchdog, and panic isolation. One Supervisor is
-// shared by all of a sweep's experiment calls, so its StopAfter budget and
-// counters span the whole command invocation. The zero value supervises
-// with everything off (no journal, no retries, no backstop).
+// shared by all of a sweep's experiment calls, so its StopAfter budget,
+// counters and memo of executed cells span the whole command invocation:
+// Pool workers simulate each distinct cell key once and journal the
+// result again for every duplicate. The zero value supervises with
+// everything off (no journal, no retries, no backstop).
 type Supervisor struct {
 	// Journal receives one entry per finished cell; nil disables
 	// journaling. A *Journal writes a durable file.
@@ -213,6 +222,11 @@ type Supervisor struct {
 	Obs *Obs
 
 	admitted atomic.Uint64
+
+	// flights is the per-sweep memo behind runShared: one entry per
+	// distinct cell key a Pool worker executed locally.
+	mu      sync.Mutex
+	flights map[string]*flight
 }
 
 // admit consumes one slot of the StopAfter budget; it reports false once
@@ -242,7 +256,8 @@ func (s *Supervisor) replay(c Cell) (nvp.Result, bool) {
 // simulation. The error is non-nil only for a non-recoverable failure the
 // sweep should abort on; isolated panics return a zero, not-Completed
 // result and a nil error so the sweep's existing skipped-app path absorbs
-// them.
+// them. A direct RunCell call never shares a result with another cell of
+// the same key; only Pool workers do (see runShared).
 //
 // The arena is handed to the cell body for state reuse; nil gets a private
 // one. Reusing an arena across retries — and even across a recovered panic
@@ -252,22 +267,91 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 	if res, ok := s.replay(c); ok {
 		return res, nil, true
 	}
-	if s != nil && s.Remote != nil && len(c.RemoteReq) > 0 {
-		res, handled, err := s.Remote.RunRemote(c.Key, c.Label, c.RemoteReq)
-		if handled {
-			if err != nil {
-				s.count(func(cs *Counters) { cs.Failures.Add(1) })
-				s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
-					Attempts: 1, Error: err.Error()})
-				return nvp.Result{App: c.Label}, err, false
-			}
-			s.count(func(cs *Counters) { cs.Remote.Add(1) })
-			s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
-				Attempts: 1, Result: &res})
-			return res, nil, false
-		}
-		// Declined: degrade to local execution below.
+	if res, err, ok := s.runRemote(c); ok {
+		return res, err, false
 	}
+	res, err, _ := s.execute(c, a)
+	return res, err, false
+}
+
+// flight is one distinct cell key's local execution within a sweep. The
+// leader sets entry before closing done: its KindCell journal entry, or
+// nil when the cell failed, panicked or timed out.
+type flight struct {
+	done  chan struct{}
+	entry *Entry
+}
+
+// runShared is RunCell for Pool workers: replay, then remote, then local
+// execution shared by key. The first worker to reach a key leads and
+// simulates; every later cell with that key waits for the leader and, when
+// the leader journaled a KindCell entry, journals a copy of that entry as
+// its own and counts as Executed and Shared without simulating. After a
+// failed leader each follower executes for itself. The memo lives as long
+// as the Supervisor — one sweep.
+func (s *Supervisor) runShared(c Cell, a *nvp.Arena) (nvp.Result, error) {
+	if res, ok := s.replay(c); ok {
+		return res, nil
+	}
+	if res, err, ok := s.runRemote(c); ok {
+		return res, err
+	}
+	s.mu.Lock()
+	f, follow := s.flights[c.Key]
+	if !follow {
+		if s.flights == nil {
+			s.flights = make(map[string]*flight)
+		}
+		f = &flight{done: make(chan struct{})}
+		s.flights[c.Key] = f
+	}
+	s.mu.Unlock()
+	if !follow {
+		defer close(f.done)
+		res, err, e := s.execute(c, a)
+		f.entry = e
+		return res, err
+	}
+	<-f.done
+	if f.entry == nil {
+		res, err, _ := s.execute(c, a)
+		return res, err
+	}
+	s.Counters.Executed.Add(1)
+	s.Counters.Shared.Add(1)
+	e, res := *f.entry, *f.entry.Result
+	e.Result = &res
+	s.journal(e)
+	return res, nil
+}
+
+// runRemote offers the cell to the RemoteRunner; ok reports that the
+// runner handled it (the result, or a hard failure, is journaled here).
+func (s *Supervisor) runRemote(c Cell) (res nvp.Result, err error, ok bool) {
+	if s == nil || s.Remote == nil || len(c.RemoteReq) == 0 {
+		return nvp.Result{}, nil, false
+	}
+	res, handled, err := s.Remote.RunRemote(c.Key, c.Label, c.RemoteReq)
+	if !handled {
+		// Declined: the caller degrades to local execution.
+		return nvp.Result{}, nil, false
+	}
+	if err != nil {
+		s.count(func(cs *Counters) { cs.Failures.Add(1) })
+		s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
+			Attempts: 1, Error: err.Error()})
+		return nvp.Result{App: c.Label}, err, true
+	}
+	s.count(func(cs *Counters) { cs.Remote.Add(1) })
+	s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
+		Attempts: 1, Result: &res})
+	return res, nil, true
+}
+
+// execute simulates the cell locally under the retry loop and journals the
+// outcome. The returned entry is the KindCell entry it journaled, or nil
+// when the cell failed.
+func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, *Entry) {
 	if a == nil {
 		a = nvp.NewArena()
 	}
@@ -283,12 +367,12 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 			s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
 				Attempts: attempts, Error: pe.Error(), Stack: pe.Stack})
 			if s != nil && s.PropagatePanics {
-				return nvp.Result{App: c.Label}, pe, false
+				return nvp.Result{App: c.Label}, pe, nil
 			}
 			// Isolate: fail only this cell. A zero result with
 			// Completed=false feeds the sweep's soft-fail path, so the
 			// surviving cells still render (with a skipped note).
-			return nvp.Result{App: c.Label}, nil, false
+			return nvp.Result{App: c.Label}, nil, nil
 		}
 		retryable := (err != nil && IsTransient(err)) || (err == nil && !res.Completed)
 		if retryable && attempts <= s.maxRetries() {
@@ -303,11 +387,12 @@ func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
 		s.count(func(cs *Counters) { cs.Failures.Add(1) })
 		s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
 			Attempts: attempts, Error: err.Error()})
-		return res, err, false
+		return res, err, nil
 	}
-	s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
-		Attempts: attempts, Result: &res})
-	return res, nil, false
+	e := &Entry{Kind: KindCell, Key: c.Key, App: c.Label,
+		Attempts: attempts, Result: &res}
+	s.journal(*e)
+	return res, nil, e
 }
 
 func (s *Supervisor) maxRetries() int {

@@ -269,6 +269,8 @@ func (s *System) fastSideAccess(sd *side, pc, addr uint64, write bool, now uint6
 			BufHit:    bufHit,
 			BlockSize: uint64(sd.params.BlockSize),
 		})
+		sd.observes++
+		sd.proposed += uint64(len(sd.cands))
 		if len(sd.cands) != 0 {
 			pMemory = s.fastIssue(sd, stall, now, pMemory)
 		}

@@ -27,6 +27,9 @@ type side struct {
 	params energy.CacheParams
 	stats  SideStats
 	cands  []uint64 // scratch candidate list, reused per access
+	// observes and proposed count this run's prefetcher observations and
+	// the candidates they produced, for the metrics registry.
+	observes, proposed uint64
 	// inflight stages issued-but-incomplete prefetch reads in
 	// prefetch-to-cache mode; its capacity is the prefetch buffer size.
 	inflight []pfReq
@@ -294,13 +297,6 @@ func newSystem(a *Arena, wl workload.Generator, trace *power.Trace, cfg Config) 
 		// otherwise the skip would change the energy ledger.
 		if hi, ok := pf.(prefetch.HitIndifferent); ok && hi.HitIndifferent() && sd.agNJ == 0 {
 			sd.pfSkipHits = true
-		}
-		// Metrics wrapping happens after the interface probes above: the
-		// wrapper intentionally hides AddressGenCoster/HitIndifferent, and
-		// agNJ/pfSkipHits must describe the real prefetcher. The wrapper is
-		// built per run; only the raw prefetcher lives in the arena slot.
-		if pf != nil && cfg.Metrics != nil {
-			sd.pf = prefetch.NewInstrument(pf, cfg.Metrics, name)
 		}
 		// Scratch buffers keep their previous run's capacity ([:0] reuse).
 		if prev != nil {
@@ -747,6 +743,8 @@ func (s *System) access(sd *side, pc, addr uint64, write bool) (stall uint64) {
 			BufHit:    bufHit,
 			BlockSize: uint64(sd.params.BlockSize),
 		})
+		sd.observes++
+		sd.proposed += uint64(len(sd.cands))
 		if len(sd.cands) != 0 {
 			s.issuePrefetches(sd, stall)
 		}
@@ -1158,6 +1156,13 @@ func (s *System) result(completed bool) Result {
 			m.Counter(p + "pf_wiped_cache").Add(cs.PrefetchedWiped)
 			m.Counter(p + "pf_wiped_buffer").Add(bs.WipedUnused)
 			m.Counter(p + "pf_wiped_inflight").Add(sd.stats.InflightWiped)
+			if sd.pf != nil {
+				// Every outage resets each side's prefetcher exactly once.
+				pp := p + sd.pf.Name() + "."
+				m.Counter(pp + "observes").Add(sd.observes)
+				m.Counter(pp + "proposed").Add(sd.proposed)
+				m.Counter(pp + "resets").Add(s.outages)
+			}
 		}
 		m.Gauge("energy.total_nj").Add(s.consumed.Total())
 		m.Gauge("energy.cache_nj").Add(s.consumed.Cache)

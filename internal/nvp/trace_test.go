@@ -208,9 +208,13 @@ func TestMetricsMatchResult(t *testing.T) {
 	if got := reg.Gauge("energy.total_nj").Load(); got != r.Energy.Total() {
 		t.Errorf("metric energy.total_nj = %g, want %g", got, r.Energy.Total())
 	}
-	// The prefetcher instrumentation wrapper must have observed accesses.
+	// The per-side prefetcher counters must have observed accesses, and
+	// every outage resets each side's prefetcher once.
 	if got := reg.Counter("dcache.stride.observes").Load(); got == 0 {
-		t.Error("dcache.stride.observes = 0; Instrument wrapper not installed")
+		t.Error("dcache.stride.observes = 0; per-side observation counter not published")
+	}
+	if got := reg.Counter("dcache.stride.resets").Load(); got != r.Outages {
+		t.Errorf("dcache.stride.resets = %d, want outages %d", got, r.Outages)
 	}
 }
 

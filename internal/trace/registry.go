@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,20 +88,36 @@ func (c *Counter) Load() uint64 {
 
 // Gauge is a float64 accumulator (energy totals), safe for concurrent use.
 // All methods are nil-receiver safe.
-type Gauge struct{ bits atomic.Uint64 }
+//
+// The sum is exact: every finite float64 and any sum of them fits in
+// exactPrec bits, so the value Load rounds once is the same whatever order
+// concurrent runs add in, and one Add loads back bit for bit. A plain float
+// sum would round at every step and differ in the last digits from one
+// parallel sweep to the next.
+type Gauge struct {
+	mu  sync.Mutex
+	sum big.Float
+	// odd accumulates non-finite inputs, which big.Float cannot hold; it
+	// makes Load return ±Inf or NaN exactly as a float sum would.
+	odd float64
+}
+
+// exactPrec covers every float64 from 2^-1074 to 2^1024 plus 64 carry bits.
+const exactPrec = 1074 + 1024 + 64
 
 // Add accumulates f.
 func (g *Gauge) Add(f float64) {
 	if g == nil {
 		return
 	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + f)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		g.odd += f
+		return
 	}
+	var x big.Float
+	g.sum.SetPrec(exactPrec).Add(&g.sum, x.SetFloat64(f))
 }
 
 // Set replaces the value (for level-style gauges — in-flight requests,
@@ -110,15 +127,24 @@ func (g *Gauge) Set(f float64) {
 	if g == nil {
 		return
 	}
-	g.bits.Store(math.Float64bits(f))
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.odd = 0
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		g.odd, f = f, 0
+	}
+	g.sum.SetFloat64(f)
 }
 
-// Load returns the accumulated value.
+// Load returns the accumulated value, rounded once to the nearest float64.
 func (g *Gauge) Load() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.bits.Load())
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	v, _ := g.sum.Float64()
+	return v + g.odd
 }
 
 // CounterErr returns the named counter, creating it on first use. A name

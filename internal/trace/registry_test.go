@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -145,5 +146,41 @@ func TestWriteProm(t *testing.T) {
 	var empty strings.Builder
 	if err := (*Registry)(nil).WriteProm(&empty); err != nil || empty.Len() != 0 {
 		t.Errorf("nil registry: err=%v out=%q", err, empty.String())
+	}
+}
+
+// TestGaugeOrderIndependent pins the exact accumulation: the same terms
+// added in opposite orders load the same value (a float64 running sum
+// differs here), and non-finite terms still poison the sum like a float.
+func TestGaugeOrderIndependent(t *testing.T) {
+	terms := []float64{1e16, 1, -1e16, 0.1, 0.2, 0.3, 1e-3, 12345.678}
+	fwd, rev := &Gauge{}, &Gauge{}
+	for i := range terms {
+		fwd.Add(terms[i])
+		rev.Add(terms[len(terms)-1-i])
+	}
+	if fwd.Load() != rev.Load() {
+		t.Errorf("forward sum %v != reverse sum %v", fwd.Load(), rev.Load())
+	}
+	var plainFwd, plainRev float64
+	for i := range terms {
+		plainFwd += terms[i]
+		plainRev += terms[len(terms)-1-i]
+	}
+	if plainFwd == plainRev {
+		t.Fatalf("terms do not exercise rounding order: both plain sums are %v", plainFwd)
+	}
+	one := &Gauge{}
+	one.Add(0.1)
+	if one.Load() != 0.1 {
+		t.Errorf("single term loads as %v, want 0.1", one.Load())
+	}
+	one.Add(math.Inf(1))
+	if !math.IsInf(one.Load(), 1) {
+		t.Errorf("sum with +Inf = %v, want +Inf", one.Load())
+	}
+	one.Set(2.5)
+	if one.Load() != 2.5 {
+		t.Errorf("after Set(2.5) = %v", one.Load())
 	}
 }
