@@ -254,10 +254,12 @@ lint: vet
 # -servers -journal: a -resume through the surviving server must print the
 # local golden byte for byte and replay every journaled cell. A last pass
 # against a dead fleet must degrade every cell to local execution — same
-# bytes again.
+# bytes again. Finally an -all sweep through a fresh ipexd must print the
+# local bytes and send each distinct cell key once: the client's `remote:
+# cells=` equals the number of distinct keys in the sweep's journal.
 remote-smoke:
-	@tmp=$$(mktemp -d); d1=; d2=; f1=; f2=; cpid=; \
-	trap 'kill -9 $$d1 $$d2 $$f1 $$f2 $$cpid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	@tmp=$$(mktemp -d); d1=; d2=; d3=; f1=; f2=; cpid=; \
+	trap 'kill -9 $$d1 $$d2 $$d3 $$f1 $$f2 $$cpid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/experiments ./cmd/experiments || exit 1; \
 	$(GO) build -o $$tmp/ipexd ./cmd/ipexd || exit 1; \
 	$(GO) build -o $$tmp/faultnet ./cmd/faultnet || exit 1; \
@@ -335,7 +337,23 @@ remote-smoke:
 		|| { echo "remote-smoke: dead-fleet sweep output differs from local golden"; exit 1; }; \
 	grep -Eq '^remote: cells=0 (fallback=[1-9]|fallback=0 unroutable=[1-9])' $$tmp/down.log \
 		|| { echo "remote-smoke: dead fleet did not degrade to local:"; grep '^remote:' $$tmp/down.log; exit 1; }; \
-	echo "remote-smoke: chaos + server SIGKILL sweep byte-identical to local; sweep SIGKILL resumed byte-identical through the fleet; dead fleet degraded cleanly"
+	kargs="-all -scale 0.02 -apps fft,gsme -json"; \
+	$$tmp/experiments $$kargs >$$tmp/kgolden.json || exit 1; \
+	$$tmp/ipexd -listen 127.0.0.1:0 -cache-dir $$tmp/c3 2>$$tmp/d3.log & d3=$$!; \
+	a3=""; i=0; while [ $$i -lt 100 ]; do \
+		a3=$$(sed -n 's#^ipexd listening on http://\([^ ]*\).*#\1#p' $$tmp/d3.log); \
+		[ -n "$$a3" ] && break; \
+		sleep 0.1; i=$$((i+1)); done; \
+	[ -n "$$a3" ] || { echo "remote-smoke: fresh ipexd never announced its address"; cat $$tmp/d3.log; exit 1; }; \
+	$$tmp/experiments $$kargs -servers "http://$$a3" -journal $$tmp/keys.jsonl \
+		>$$tmp/keys.json 2>$$tmp/keys.log \
+		|| { echo "remote-smoke: -all sweep through a fresh ipexd failed"; cat $$tmp/keys.log; exit 1; }; \
+	diff -u $$tmp/kgolden.json $$tmp/keys.json \
+		|| { echo "remote-smoke: -all sweep through a fresh ipexd differs from local"; cat $$tmp/keys.log; exit 1; }; \
+	keys=$$(grep -o '"key":"[^"]*"' $$tmp/keys.jsonl | sort -u | wc -l); \
+	grep -Eq "^remote: cells=$$keys fallback=0 " $$tmp/keys.log \
+		|| { echo "remote-smoke: want one request per distinct key ($$keys):"; grep '^remote:' $$tmp/keys.log; exit 1; }; \
+	echo "remote-smoke: chaos + server SIGKILL sweep byte-identical to local; sweep SIGKILL resumed byte-identical through the fleet; dead fleet degraded cleanly; -all sent $$keys distinct keys once each"
 
 ci: build lint race golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke fuzz bench-gate
 	$(GO) test -run=NONE -bench=BenchmarkFig10 -benchtime=1x ./...

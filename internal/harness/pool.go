@@ -27,8 +27,9 @@ type Pool struct {
 	Ctx context.Context
 	// Sup supervises each cell and counts its progress (Counters.Enqueued,
 	// Done, Insts); nil means bare execution (still panic-isolated via the
-	// zero Supervisor). Cells whose key Sup has already executed, in this
-	// batch or an earlier one, share that simulation's result.
+	// zero Supervisor). Cells whose key Sup has already resolved — by
+	// replay, remote or local execution, in this batch or an earlier one —
+	// share that answer instead of resolving again.
 	Sup *Supervisor
 }
 

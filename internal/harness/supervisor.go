@@ -63,12 +63,15 @@ func (p *PanicError) Error() string {
 }
 
 // Counters tracks supervision outcomes for live telemetry; all fields are
-// atomics, safe to read while a sweep runs.
+// atomics, safe to read while a sweep runs. Every finished cell counts in
+// exactly one of Replayed, Remote and Executed; a Pool worker that shares
+// an identical cell's answer counts in that cell's bucket.
 type Counters struct {
-	// Executed counts cells that ran in this process; Replayed counts
-	// cells answered from the journal without simulating. Shared counts
-	// the subset of Executed that a Pool worker answered with the result
-	// of an identical cell (same key) already simulated in this sweep.
+	// Executed counts cells answered by a local simulation in this
+	// process; Replayed counts cells answered from the journal without
+	// simulating. Shared counts the subset of Executed that a Pool worker
+	// answered with the result of an identical cell (same key) already
+	// simulated in this sweep.
 	Executed atomic.Uint64
 	Replayed atomic.Uint64
 	Shared   atomic.Uint64
@@ -83,7 +86,8 @@ type Counters struct {
 	Panics   atomic.Uint64
 	Failures atomic.Uint64
 	// Remote counts cells answered by a RemoteRunner (executed on an ipexd
-	// fleet, verified, and journaled without simulating locally).
+	// fleet, verified, and journaled without simulating locally), a Pool
+	// worker's copies of such an answer included.
 	Remote atomic.Uint64
 	// Enqueued counts cells handed to Pool.Run, Done the ones its workers
 	// finished (however answered), and Insts the instructions in those
@@ -166,10 +170,11 @@ type Cell struct {
 // journal replay, bounded retries with deterministic exponential backoff,
 // an optional wall-clock watchdog, and panic isolation. One Supervisor is
 // shared by all of a sweep's experiment calls, so its StopAfter budget,
-// counters and memo of executed cells span the whole command invocation:
-// Pool workers simulate each distinct cell key once and journal the
-// result again for every duplicate. The zero value supervises with
-// everything off (no journal, no retries, no backstop).
+// counters and memo of resolved cells span the whole command invocation:
+// Pool workers resolve each distinct cell key once — replay, remote or
+// local — and journal the result again for every duplicate. The zero
+// value supervises with everything off (no journal, no retries, no
+// backstop).
 type Supervisor struct {
 	// Journal receives one entry per finished cell; nil disables
 	// journaling. A *Journal writes a durable file.
@@ -198,9 +203,10 @@ type Supervisor struct {
 	// takes, but deterministic. It exists for the resume round-trip tests
 	// and `make resume-smoke`.
 	StopAfter uint64
-	// Remote, when non-nil, is offered every journaled cell that carries a
-	// RemoteReq before local execution. A handled cell is journaled from the
-	// remote result; a declined one falls through to the local retry loop
+	// Remote, when non-nil, is offered every cell that carries a RemoteReq
+	// and is not replayed, before local execution; under a Pool only a
+	// key's leader is offered. A handled cell is journaled from the remote
+	// result; a declined one falls through to the local retry loop
 	// unchanged (graceful degradation).
 	Remote RemoteRunner
 	// PropagatePanics returns an isolated cell panic to the caller as its
@@ -223,10 +229,12 @@ type Supervisor struct {
 
 	admitted atomic.Uint64
 
-	// flights is the per-sweep memo behind runShared: one entry per
-	// distinct cell key a Pool worker executed locally.
+	// memos is the per-sweep memo behind runShared: one entry per distinct
+	// cell key a Pool worker reached. settled (on mu) is broadcast each
+	// time a leader publishes its key's answer.
 	mu      sync.Mutex
-	flights map[string]*flight
+	memos   map[string]memo
+	settled *sync.Cond
 }
 
 // admit consumes one slot of the StopAfter budget; it reports false once
@@ -236,19 +244,6 @@ func (s *Supervisor) admit() bool {
 		return true
 	}
 	return s.admitted.Add(1) <= s.StopAfter
-}
-
-// replay looks up a journaled result for the cell.
-func (s *Supervisor) replay(c Cell) (nvp.Result, bool) {
-	if s == nil {
-		return nvp.Result{}, false
-	}
-	e := s.Replay[c.Key]
-	if e == nil || e.Kind != KindCell || e.Result == nil {
-		return nvp.Result{}, false
-	}
-	s.Counters.Replayed.Add(1)
-	return *e.Result, true
 }
 
 // RunCell executes one cell under the full supervision envelope and
@@ -264,94 +259,133 @@ func (s *Supervisor) replay(c Cell) (nvp.Result, bool) {
 // — is safe because every recycled component is reset from scratch at the
 // next run's construction.
 func (s *Supervisor) RunCell(c Cell, a *nvp.Arena) (nvp.Result, error, bool) {
-	if res, ok := s.replay(c); ok {
-		return res, nil, true
-	}
-	if res, err, ok := s.runRemote(c); ok {
-		return res, err, false
-	}
-	res, err, _ := s.execute(c, a)
-	return res, err, false
+	res, err, m := s.resolve(c, a)
+	return res, err, m.from == fromReplay
 }
 
-// flight is one distinct cell key's local execution within a sweep. The
-// leader sets entry before closing done: its KindCell journal entry, or
-// nil when the cell failed, panicked or timed out.
-type flight struct {
-	done  chan struct{}
-	entry *Entry
+// source is how a cell was answered: the bucket it counts in.
+type source uint8
+
+const (
+	pending    source = iota // memo only: the leader is still resolving
+	failed                   // no result to share
+	fromReplay               // the journal's Replay map (Replayed)
+	fromRemote               // the RemoteRunner (Remote)
+	fromLocal                // local simulation (Executed)
+)
+
+// memo is one distinct key's resolution within a sweep. res is the
+// kind: cell result the leader journaled, or the Replay map's entry for a
+// replayed key; it is shared, never copied, and nil unless from is
+// fromReplay, fromRemote or fromLocal.
+type memo struct {
+	res      *nvp.Result
+	attempts int32
+	from     source
 }
 
-// runShared is RunCell for Pool workers: replay, then remote, then local
-// execution shared by key. The first worker to reach a key leads and
-// simulates; every later cell with that key waits for the leader and, when
-// the leader journaled a KindCell entry, journals a copy of that entry as
-// its own and counts as Executed and Shared without simulating. After a
-// failed leader each follower executes for itself. The memo lives as long
-// as the Supervisor — one sweep.
+// runShared is RunCell for Pool workers: the per-sweep memo comes first.
+// The first worker to reach a key leads and resolves it once (resolve:
+// replay, else remote, else local). Every later cell with that key waits
+// for the leader and takes its answer in the leader's bucket: a follower
+// of a replayed key counts as Replayed and journals nothing; a follower of
+// a remote or local answer journals a copy of the leader's kind: cell
+// entry as its own and counts as Remote, or as Executed and Shared. After
+// a failed leader each follower resolves for itself. The memo lives as
+// long as the Supervisor — one sweep.
 func (s *Supervisor) runShared(c Cell, a *nvp.Arena) (nvp.Result, error) {
-	if res, ok := s.replay(c); ok {
-		return res, nil
-	}
-	if res, err, ok := s.runRemote(c); ok {
-		return res, err
-	}
 	s.mu.Lock()
-	f, follow := s.flights[c.Key]
+	m, follow := s.memos[c.Key]
 	if !follow {
-		if s.flights == nil {
-			s.flights = make(map[string]*flight)
+		if s.memos == nil {
+			s.memos = make(map[string]memo)
+			s.settled = sync.NewCond(&s.mu)
 		}
-		f = &flight{done: make(chan struct{})}
-		s.flights[c.Key] = f
+		s.memos[c.Key] = memo{}
+		s.mu.Unlock()
+		return s.lead(c, a)
+	}
+	for m.from == pending {
+		s.settled.Wait()
+		m = s.memos[c.Key]
 	}
 	s.mu.Unlock()
-	if !follow {
-		defer close(f.done)
-		res, err, e := s.execute(c, a)
-		f.entry = e
+	switch m.from {
+	case failed:
+		res, err, _ := s.resolve(c, a)
 		return res, err
+	case fromReplay:
+		s.Counters.Replayed.Add(1)
+		return *m.res, nil
+	case fromRemote:
+		s.Counters.Remote.Add(1)
+	default:
+		s.Counters.Executed.Add(1)
+		s.Counters.Shared.Add(1)
 	}
-	<-f.done
-	if f.entry == nil {
-		res, err, _ := s.execute(c, a)
-		return res, err
+	s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
+		Attempts: int(m.attempts), Result: m.res})
+	return *m.res, nil
+}
+
+// lead resolves a key for the sweep and publishes the answer to its
+// followers. A leader that panics out of resolve publishes failed, so no
+// follower waits forever.
+func (s *Supervisor) lead(c Cell, a *nvp.Arena) (res nvp.Result, err error) {
+	m := memo{from: failed}
+	defer func() {
+		s.mu.Lock()
+		s.memos[c.Key] = m
+		s.mu.Unlock()
+		s.settled.Broadcast()
+	}()
+	res, err, m = s.resolve(c, a)
+	return res, err
+}
+
+// resolve answers one cell by itself: the journal's Replay map, else the
+// RemoteRunner, else local simulation under the retry loop. The memo
+// says how it was answered and, unless failed, points at the result its
+// kind: cell entry carries.
+func (s *Supervisor) resolve(c Cell, a *nvp.Arena) (nvp.Result, error, memo) {
+	if s != nil {
+		if e := s.Replay[c.Key]; e != nil && e.Kind == KindCell && e.Result != nil {
+			s.Counters.Replayed.Add(1)
+			return *e.Result, nil, memo{res: e.Result, from: fromReplay}
+		}
 	}
-	s.Counters.Executed.Add(1)
-	s.Counters.Shared.Add(1)
-	e, res := *f.entry, *f.entry.Result
-	e.Result = &res
-	s.journal(e)
-	return res, nil
+	if res, err, m, ok := s.runRemote(c); ok {
+		return res, err, m
+	}
+	return s.execute(c, a)
 }
 
 // runRemote offers the cell to the RemoteRunner; ok reports that the
 // runner handled it (the result, or a hard failure, is journaled here).
-func (s *Supervisor) runRemote(c Cell) (res nvp.Result, err error, ok bool) {
+func (s *Supervisor) runRemote(c Cell) (nvp.Result, error, memo, bool) {
 	if s == nil || s.Remote == nil || len(c.RemoteReq) == 0 {
-		return nvp.Result{}, nil, false
+		return nvp.Result{}, nil, memo{}, false
 	}
 	res, handled, err := s.Remote.RunRemote(c.Key, c.Label, c.RemoteReq)
 	if !handled {
 		// Declined: the caller degrades to local execution.
-		return nvp.Result{}, nil, false
+		return nvp.Result{}, nil, memo{}, false
 	}
 	if err != nil {
 		s.count(func(cs *Counters) { cs.Failures.Add(1) })
 		s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
 			Attempts: 1, Error: err.Error()})
-		return nvp.Result{App: c.Label}, err, true
+		return nvp.Result{App: c.Label}, err, memo{from: failed}, true
 	}
 	s.count(func(cs *Counters) { cs.Remote.Add(1) })
 	s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
 		Attempts: 1, Result: &res})
-	return res, nil, true
+	return res, nil, memo{res: &res, attempts: 1, from: fromRemote}, true
 }
 
 // execute simulates the cell locally under the retry loop and journals the
-// outcome. The returned entry is the KindCell entry it journaled, or nil
-// when the cell failed.
-func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, *Entry) {
+// outcome.
+func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, memo) {
 	if a == nil {
 		a = nvp.NewArena()
 	}
@@ -367,12 +401,12 @@ func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, *Entry) {
 			s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
 				Attempts: attempts, Error: pe.Error(), Stack: pe.Stack})
 			if s != nil && s.PropagatePanics {
-				return nvp.Result{App: c.Label}, pe, nil
+				return nvp.Result{App: c.Label}, pe, memo{from: failed}
 			}
 			// Isolate: fail only this cell. A zero result with
 			// Completed=false feeds the sweep's soft-fail path, so the
 			// surviving cells still render (with a skipped note).
-			return nvp.Result{App: c.Label}, nil, nil
+			return nvp.Result{App: c.Label}, nil, memo{from: failed}
 		}
 		retryable := (err != nil && IsTransient(err)) || (err == nil && !res.Completed)
 		if retryable && attempts <= s.maxRetries() {
@@ -387,12 +421,11 @@ func (s *Supervisor) execute(c Cell, a *nvp.Arena) (nvp.Result, error, *Entry) {
 		s.count(func(cs *Counters) { cs.Failures.Add(1) })
 		s.journal(Entry{Kind: KindFail, Key: c.Key, App: c.Label,
 			Attempts: attempts, Error: err.Error()})
-		return res, err, nil
+		return res, err, memo{from: failed}
 	}
-	e := &Entry{Kind: KindCell, Key: c.Key, App: c.Label,
-		Attempts: attempts, Result: &res}
-	s.journal(*e)
-	return res, nil, e
+	s.journal(Entry{Kind: KindCell, Key: c.Key, App: c.Label,
+		Attempts: attempts, Result: &res})
+	return res, nil, memo{res: &res, attempts: int32(attempts), from: fromLocal}
 }
 
 func (s *Supervisor) maxRetries() int {
