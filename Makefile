@@ -2,9 +2,8 @@
 # the individual targets exist for quick iteration.
 
 GO ?= go
-BENCH_JSON ?= BENCH_hotloop.json
 
-.PHONY: all build vet test race race-harness bench bench-gate golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke lint fuzz ci clean
+.PHONY: all build vet test race race-harness bench-gate golden tracestat-golden resume-smoke ipexd-smoke obs-smoke remote-smoke lint fuzz ci clean
 
 all: ci
 
@@ -29,19 +28,52 @@ race-harness:
 	$(GO) test -race -count=2 ./internal/harness ./internal/experiments \
 		./internal/remote ./internal/faultnet
 
-# Regenerate the committed hot-loop record: the Fig10-class sweep benchmark
-# plus the raw simulator-throughput probe, which writes $(BENCH_JSON) via
-# bench_test.go when BENCH_HOTLOOP_JSON is set.
-bench:
-	BENCH_HOTLOOP_JSON=$(BENCH_JSON) $(GO) test -run=NONE \
-		-bench='BenchmarkFig10|BenchmarkSimulatorThroughput' -benchtime=10x ./...
-
-# Performance gate against the committed record: fails on a >10% hot-loop
-# throughput regression or any steady-state allocation. Regenerate the
-# record on the gating machine with `make bench` first — wall-clock
-# throughput does not transfer between machines.
+# Performance gate, paired against the parent commit on this machine: the
+# internal/nvp benchmarks are built from HEAD~ (unpacked with git archive,
+# so .git gains no worktree) and from the working tree, and
+# BenchmarkLoops/fast and /fast-nopf run in 10 pairs, alternating which side
+# goes first. It fails when either sub-benchmark's median head/base insts/s
+# ratio is below 0.90 (a >10% throughput regression) or any head run
+# allocates. Absolute throughput does not transfer between machines, and a
+# single pair can swing by ±20% on a shared VM; a median of ten
+# same-machine ratios holds still.
 bench-gate:
-	IPEX_BENCH_GATE=1 $(GO) test -run TestBenchGate -count=1 .
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git rev-parse -q --verify 'HEAD~^{commit}' >/dev/null \
+		|| { echo "bench-gate: no parent commit HEAD~ to compare against"; exit 1; }; \
+	mkdir $$tmp/base && git archive HEAD~ | tar -x -C $$tmp/base || exit 1; \
+	(cd $$tmp/base && $(GO) test -c -o $$tmp/base.test ./internal/nvp) || exit 1; \
+	$(GO) test -c -o $$tmp/head.test ./internal/nvp || exit 1; \
+	run() { \
+		pair=$$1; side=$$2; dir=internal/nvp; [ $$side = base ] && dir=$$tmp/base/internal/nvp; \
+		(cd $$dir && $$tmp/$$side.test -test.run '^$$' -test.bench 'BenchmarkLoops/^fast' \
+			-test.benchtime 1s -test.benchmem -test.timeout 2m) >$$tmp/out 2>&1 \
+			|| { echo "bench-gate: $$side benchmark run failed:"; cat $$tmp/out; exit 1; }; \
+		awk -v p=$$pair -v s=$$side '/^BenchmarkLoops\// { \
+			n = $$1; sub(/^BenchmarkLoops\//, "", n); sub(/-[0-9]+$$/, "", n); ips = "?"; allocs = "?"; \
+			for (i = 2; i < NF; i++) { if ($$(i+1) == "insts/s") ips = $$i; if ($$(i+1) == "allocs/op") allocs = $$i } \
+			print p, s, n, ips, allocs }' $$tmp/out >>$$tmp/runs; \
+	}; \
+	pairs=10; p=1; while [ $$p -le $$pairs ]; do \
+		if [ $$((p % 2)) -eq 1 ]; then run $$p base && run $$p head || exit 1; \
+		else run $$p head && run $$p base || exit 1; fi; \
+		p=$$((p+1)); done; \
+	fail=0; \
+	awk '$$2 == "head" && $$5 != "0" { print "bench-gate: " $$3 ": head run of pair " $$1 " reports " $$5 " allocs/op, want 0"; bad = 1 } \
+		END { exit bad }' $$tmp/runs || fail=1; \
+	for n in fast fast-nopf; do \
+		awk -v n=$$n '$$3 == n { ips[$$1 " " $$2] = $$4 } \
+			END { for (k in ips) { split(k, f, " "); b = f[1] " base"; \
+				if (f[2] == "head" && (b in ips) && ips[b] > 0) print ips[k] / ips[b] } }' $$tmp/runs \
+			| sort -g >$$tmp/ratios; \
+		awk -v n=$$n -v want=$$pairs '{ r[NR] = $$1 } END { \
+			if (NR != want) { printf "bench-gate: %s: %d of %d pairs measured\n", n, NR, want; exit 1 } \
+			med = (r[5] + r[6]) / 2; \
+			printf "bench-gate: %s: head/base insts/s over %d pairs: median %.3f, quartiles %.3f-%.3f\n", n, NR, med, r[3], r[8]; \
+			if (med < 0.90) { printf "bench-gate: %s: median ratio %.3f is below 0.90 (a >10%% regression against HEAD~)\n", n, med; exit 1 } }' \
+			$$tmp/ratios || fail=1; \
+	done; \
+	exit $$fail
 
 # The golden gates: simulator results must stay bit-identical to
 # testdata/golden_rfhome.json (captured before the hot-loop optimization),
@@ -192,8 +224,7 @@ fuzz:
 # Determinism lint: simulator internals must not read the wall clock (Now,
 # Since, After, Sleep, or timer construction) or the global math/rand stream
 # — both would break replayable, seed-stable results. The documented
-# exceptions: internal/benchio (benchmark records carry their generation
-# time), internal/harness/watchdog.go (the wall-clock cell backstop and
+# exceptions: internal/harness/watchdog.go (the wall-clock cell backstop and
 # retry backoff), internal/trace/clock.go (the one wall-clock Clock
 # implementation everything observable injects), internal/remote/clock.go
 # (backoff sleeps and the hedge timer), and internal/faultnet/clock.go
@@ -206,12 +237,11 @@ lint: vet
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnE 'time\.(Now|Since|After|Sleep|NewTimer|NewTicker)' internal/ --include='*.go' \
-		| grep -v '^internal/benchio/' | grep -v '^internal/harness/watchdog\.go:' \
-		| grep -v '^internal/trace/clock\.go:' \
+		| grep -v '^internal/harness/watchdog\.go:' | grep -v '^internal/trace/clock\.go:' \
 		| grep -v '^internal/remote/clock\.go:' | grep -v '^internal/faultnet/clock\.go:' \
 		| grep -v '_test\.go'); \
 	if [ -n "$$bad" ]; then \
-		echo "lint: wall-clock use in simulator internals (only internal/benchio, the harness watchdog, and the per-package clock.go files may):"; \
+		echo "lint: wall-clock use in simulator internals (only the harness watchdog and the per-package clock.go files may):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rn '"math/rand"' internal/ --include='*.go'); \

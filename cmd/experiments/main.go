@@ -27,15 +27,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"syscall"
-	"testing"
 	"time"
 
 	"ipex/cmd/internal/httpd"
 	"ipex/internal/benchio"
 	"ipex/internal/experiments"
 	"ipex/internal/harness"
-	"ipex/internal/nvp"
-	"ipex/internal/power"
 	"ipex/internal/remote"
 	"ipex/internal/trace"
 	"ipex/internal/workload"
@@ -121,7 +118,6 @@ func main() {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		benchJSON  = flag.String("benchjson", "", "write hot-loop + per-experiment timings to this JSON file (e.g. BENCH_hotloop.json)")
 
 		journalPath = flag.String("journal", "", "journal every completed sweep cell to this JSONL file; an interrupted sweep resumes with -resume")
 		resume      = flag.Bool("resume", false, "resume the -journal file: journaled cells replay bit-identically instead of re-simulating")
@@ -188,6 +184,14 @@ func main() {
 	} else {
 		if *remoteRetries < 0 {
 			fmt.Fprintf(os.Stderr, "experiments: -remote-retries must be >= 0, got %d\n", *remoteRetries)
+			os.Exit(1)
+		}
+		if *remoteTimeout <= 0 {
+			fmt.Fprintf(os.Stderr, "experiments: -remote-timeout must be > 0, got %v\n", *remoteTimeout)
+			os.Exit(1)
+		}
+		if *hedgeAfter < 0 {
+			fmt.Fprintf(os.Stderr, "experiments: -hedge-after must be >= 0, got %v\n", *hedgeAfter)
 			os.Exit(1)
 		}
 		// A remote cell produces no local trace events, and -generic-loop's
@@ -440,7 +444,6 @@ func main() {
 		fmt.Println()
 	}
 
-	var timings []benchio.Experiment
 	var failures []string
 	interrupted := false
 	for _, id := range ids {
@@ -471,7 +474,6 @@ func main() {
 			continue
 		}
 		elapsed := time.Since(start).Seconds()
-		timings = append(timings, benchio.Experiment{ID: id, WallSeconds: elapsed})
 		if *asJSON {
 			enc := json.NewEncoder(os.Stdout)
 			enc.SetIndent("", "  ")
@@ -519,24 +521,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote metrics to %s\n", *metricsOut)
 	}
 
-	if *benchJSON != "" && !interrupted {
-		rec := benchio.NewRecord()
-		rec.Scale = *scale
-		hl, err := probeHotloop(*scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		rec.Hotloop = hl
-		rec.Experiments = timings
-		if err := benchio.Write(*benchJSON, rec); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%.1f ns/inst, %d experiments)\n",
-			*benchJSON, rec.Hotloop.NsPerInst, len(timings))
-	}
-
 	// The sweep is over and its artifacts are flushed; the graceful drain
 	// includes the telemetry listener on every exit path below. An optional
 	// linger keeps the final state scrapeable for a moment first.
@@ -580,41 +564,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// probeHotloop measures the simulator core the way bench_test.go's
-// BenchmarkSimulatorThroughput does: repeated nvp.Run of one memoized
-// workload on the default configuration, normalized per instruction.
-func probeHotloop(scale float64) (*benchio.Hotloop, error) {
-	const app = "gsme"
-	tr := power.Generate(power.RFHome, power.DefaultTraceSamples, 1)
-	cfg := nvp.DefaultConfig()
-	wl, err := workload.Shared().Get(app, scale)
-	if err != nil {
-		return nil, err
-	}
-	insts := uint64(wl.Len())
-
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			wl, err := workload.Shared().Get(app, scale)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := nvp.Run(wl, tr, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	nsPerRun := float64(res.NsPerOp())
-	return &benchio.Hotloop{
-		App:          app,
-		Scale:        scale,
-		Insts:        insts,
-		NsPerInst:    nsPerRun / float64(insts),
-		InstsPerSec:  float64(insts) / (nsPerRun / 1e9),
-		AllocsPerRun: res.AllocsPerOp(),
-		BytesPerRun:  res.AllocedBytesPerOp(),
-	}, nil
 }

@@ -130,3 +130,25 @@ func TestSIGINTGracefulDrain(t *testing.T) {
 		t.Fatalf("resume after SIGINT differs from golden:\n got %s\nwant %s", resumed, golden)
 	}
 }
+
+// TestRemoteFlagsRejected pins that an out-of-range fleet flag dies with
+// one clear line instead of running with a silently substituted value
+// (the client would read a zero timeout as its 15 s default).
+func TestRemoteFlagsRejected(t *testing.T) {
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-remote-timeout", "0", "-remote-timeout must be > 0, got 0s"},
+		{"-remote-timeout", "-1s", "-remote-timeout must be > 0, got -1s"},
+		{"-hedge-after", "-1s", "-hedge-after must be >= 0, got -1s"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			out, errOut, code := runMain(t, "-exp", "fig11", "-scale", "0.02",
+				"-servers", "http://127.0.0.1:1", tc.flag, tc.value)
+			if code != 1 || out != "" {
+				t.Fatalf("exited %d with stdout %q, want 1 and nothing", code, out)
+			}
+			if errOut != "experiments: "+tc.want+"\n" {
+				t.Fatalf("stderr = %q, want the one-line %q", errOut, tc.want)
+			}
+		})
+	}
+}

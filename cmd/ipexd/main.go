@@ -78,6 +78,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ipexd: -max-scale must be >= 0, got %g\n", *maxScale)
 		os.Exit(1)
 	}
+	if *cacheEntries < 1 {
+		fmt.Fprintf(os.Stderr, "ipexd: -cache-entries must be >= 1, got %d\n", *cacheEntries)
+		os.Exit(1)
+	}
 	if *cacheMaxB < 0 {
 		fmt.Fprintf(os.Stderr, "ipexd: -cache-max-bytes must be >= 0, got %d\n", *cacheMaxB)
 		os.Exit(1)

@@ -1,3 +1,5 @@
+// Package benchio writes artifacts (profiles, traces, metrics dumps, cached
+// results) atomically, so an interrupt never leaves a torn file behind.
 package benchio
 
 import (

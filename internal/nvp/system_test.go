@@ -2,6 +2,7 @@ package nvp
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ipex/internal/energy"
@@ -389,5 +390,41 @@ func TestSideStatsMetrics(t *testing.T) {
 	c.InflightWiped = 2
 	if c.WipedUnused() != 5 {
 		t.Errorf("WipedUnused = %d", c.WipedUnused())
+	}
+}
+
+// TestIPEXInertWithoutPrefetchers is a metamorphic check from the paper's
+// model: IPEX only throttles prefetch degree, so with both prefetchers off
+// attaching it — to either cache, enabled or not — must leave every field
+// of the result unchanged, on every app.
+func TestIPEXInertWithoutPrefetchers(t *testing.T) {
+	const scale = 0.05
+	tr := testTrace()
+	base := DefaultConfig().WithoutPrefetch()
+	variants := map[string]func(*Config){
+		"inst": func(c *Config) { c.IPEXInst, c.IPEX.Enabled = true, true },
+		"data": func(c *Config) { c.IPEXData, c.IPEX.Enabled = true, true },
+		"both": func(c *Config) { c.IPEXInst, c.IPEXData, c.IPEX.Enabled = true, true, true },
+		"both-disabled": func(c *Config) {
+			c.IPEXInst, c.IPEXData, c.IPEX.Enabled = true, true, false
+		},
+	}
+	for _, app := range workload.Names() {
+		want, err := Run(workload.MustNew(app, scale), tr, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, mut := range variants {
+			cfg := base
+			mut(&cfg)
+			got, err := Run(workload.MustNew(app, scale), tr, cfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app, name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: attaching IPEX without prefetchers changed the result:\n got %+v\nwant %+v",
+					app, name, got, want)
+			}
+		}
 	}
 }

@@ -78,6 +78,27 @@ func TestSpeedupZeroGuard(t *testing.T) {
 	}
 }
 
+// TestArenaRunZeroAlloc pins the public arena path end to end: after the
+// first run has memoized the workload stream and populated the arena, a
+// default-configuration Arena.Run — stream lookup included — allocates
+// nothing.
+func TestArenaRunZeroAlloc(t *testing.T) {
+	trace := GenerateTrace(RFHome, 0, 1)
+	cfg := DefaultConfig()
+	ar := NewArena()
+	if _, err := ar.Run("gsme", 0.1, trace, cfg); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(5, func() {
+		if _, err := ar.Run("gsme", 0.1, trace, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != 0 {
+		t.Errorf("steady-state Arena.Run allocated %v times, want 0", n)
+	}
+}
+
 // TestRunRejectsBadInputs pins the API-boundary contract: invalid workloads
 // and configurations come back as descriptive errors, never panics.
 func TestRunRejectsBadInputs(t *testing.T) {
