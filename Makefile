@@ -123,37 +123,45 @@ resume-smoke:
 
 # Service smoke: start a real ipexd, prove the miss-then-hit contract over
 # HTTP (second identical request is a cache hit, byte-identical to the fresh
-# response, and survives in the disk tier), then SIGINT it and require a
-# clean drain (exit 0).
+# response), then SIGINT it and require a clean drain (exit 0). A restart on
+# the same -cache-dir must then answer the request from the disk tier
+# (hit-disk), byte-identical again, and drain cleanly too.
 ipexd-smoke:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	@tmp=$$(mktemp -d); pid=; trap 'kill -9 $$pid 2>/dev/null; rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o $$tmp/ipexd ./cmd/ipexd || exit 1; \
-	$$tmp/ipexd -listen 127.0.0.1:0 -cache-dir $$tmp/cache 2>$$tmp/log & \
-	pid=$$!; \
-	addr=""; i=0; while [ $$i -lt 100 ]; do \
-		addr=$$(sed -n 's#^ipexd listening on http://\([^ ]*\).*#\1#p' $$tmp/log); \
-		[ -n "$$addr" ] && break; \
-		kill -0 $$pid 2>/dev/null || { echo "ipexd-smoke: server died at startup:"; cat $$tmp/log; exit 1; }; \
-		sleep 0.1; i=$$((i+1)); done; \
-	[ -n "$$addr" ] || { echo "ipexd-smoke: server never announced its address"; cat $$tmp/log; exit 1; }; \
+	start() { \
+		$$tmp/ipexd -listen 127.0.0.1:0 -cache-dir $$tmp/cache 2>$$tmp/log & \
+		pid=$$!; \
+		addr=""; i=0; while [ $$i -lt 100 ]; do \
+			addr=$$(sed -n 's#^ipexd listening on http://\([^ ]*\).*#\1#p' $$tmp/log); \
+			[ -n "$$addr" ] && return 0; \
+			kill -0 $$pid 2>/dev/null || { echo "ipexd-smoke: server died at startup:"; cat $$tmp/log; return 1; }; \
+			sleep 0.1; i=$$((i+1)); done; \
+		echo "ipexd-smoke: server never announced its address"; cat $$tmp/log; return 1; \
+	}; \
+	drain() { \
+		kill -INT $$pid; wait $$pid; status=$$?; pid=; \
+		[ $$status -eq 0 ] || { echo "ipexd-smoke: $$1 drain exited $$status, want 0"; cat $$tmp/log; return 1; }; \
+	}; \
 	req='{"app":"fft","scale":0.02,"config":{"IPEXInst":true,"IPEXData":true,"IPEX":{"Enabled":true}}}'; \
-	curl -sfS -D $$tmp/h1 -o $$tmp/b1 -X POST "http://$$addr/v1/run" -d "$$req" \
-		|| { echo "ipexd-smoke: fresh request failed"; exit 1; }; \
-	grep -qi '^X-Ipex-Cache: miss' $$tmp/h1 \
-		|| { echo "ipexd-smoke: fresh request was not a miss:"; cat $$tmp/h1; exit 1; }; \
-	curl -sfS -D $$tmp/h2 -o $$tmp/b2 -X POST "http://$$addr/v1/run" -d "$$req" \
-		|| { echo "ipexd-smoke: repeat request failed"; exit 1; }; \
-	grep -qi '^X-Ipex-Cache: hit' $$tmp/h2 \
-		|| { echo "ipexd-smoke: repeat request was not a hit:"; cat $$tmp/h2; exit 1; }; \
+	run() { \
+		curl -sfS -D $$tmp/h$$1 -o $$tmp/b$$1 -X POST "http://$$addr/v1/run" -d "$$req" \
+			|| { echo "ipexd-smoke: request $$1 failed"; return 1; }; \
+		grep -qi "^X-Ipex-Cache: $$2[[:space:]]*$$" $$tmp/h$$1 \
+			|| { echo "ipexd-smoke: request $$1 was not $$2:"; cat $$tmp/h$$1; return 1; }; \
+	}; \
+	start || exit 1; \
+	run 1 miss || exit 1; \
+	run 2 hit || exit 1; \
 	cmp -s $$tmp/b1 $$tmp/b2 \
 		|| { echo "ipexd-smoke: cache hit is not byte-identical to the fresh response"; exit 1; }; \
-	[ -n "$$(ls $$tmp/cache 2>/dev/null)" ] \
-		|| { echo "ipexd-smoke: disk tier is empty after a computed result"; exit 1; }; \
-	kill -INT $$pid; wait $$pid; status=$$?; \
-	if [ $$status -ne 0 ]; then \
-		echo "ipexd-smoke: drain exited $$status, want 0"; cat $$tmp/log; exit 1; \
-	fi; \
-	echo "ipexd-smoke: miss-then-hit byte-identical; SIGINT drained cleanly"
+	drain first || exit 1; \
+	start || exit 1; \
+	run 3 hit-disk || exit 1; \
+	cmp -s $$tmp/b1 $$tmp/b3 \
+		|| { echo "ipexd-smoke: disk hit after a restart is not byte-identical to the fresh response"; exit 1; }; \
+	drain restarted || exit 1; \
+	echo "ipexd-smoke: miss-then-hit byte-identical; restart served hit-disk byte-identical; SIGINT drained cleanly twice"
 
 # Observability smoke: a real sweep under -listen and a real ipexd, scraped
 # live over HTTP. The sweep's /metrics must expose the cell-lifecycle
@@ -211,14 +219,15 @@ obs-smoke:
 
 # Short fuzzing passes over the untrusted-input surfaces: the simulator
 # configuration validator, the harvest-trace parser, the journal line
-# parser behind -resume, and the /v1/run request decoder every ipexd
-# exposes to the network. `go test -fuzz`
+# parser behind -resume, ipexd's result-cache line verifier, and the
+# /v1/run request decoder every ipexd exposes to the network. `go test -fuzz`
 # accepts one target per invocation, hence one line each.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzConfigValidate -fuzztime=$(FUZZTIME) ./internal/nvp/
 	$(GO) test -run=NONE -fuzz=FuzzHarvestTraceParse -fuzztime=$(FUZZTIME) ./internal/power/
 	$(GO) test -run=NONE -fuzz=FuzzJournalLine -fuzztime=$(FUZZTIME) ./internal/harness/
+	$(GO) test -run=NONE -fuzz=FuzzResultLine -fuzztime=$(FUZZTIME) ./internal/resultstore/
 	$(GO) test -run=NONE -fuzz=FuzzRunRequest -fuzztime=$(FUZZTIME) ./internal/remote/
 
 # Determinism lint: simulator internals must not read the wall clock (Now,

@@ -49,9 +49,9 @@ import (
 func main() {
 	var (
 		listenAddr   = flag.String("listen", ":8375", "address to serve on")
-		cacheDir     = flag.String("cache-dir", "", "disk tier of the result cache (empty = in-memory only; results do not survive restarts)")
+		cacheDir     = flag.String("cache-dir", "", "directory of the result cache's disk tier, one append-only log (empty = in-memory only; results do not survive restarts)")
 		cacheEntries = flag.Int("cache-entries", 4096, "in-memory result-cache capacity (bodies); evicted entries remain on the disk tier")
-		cacheMaxB    = flag.Int64("cache-max-bytes", 0, "disk-tier byte budget, enforced once at startup by evicting oldest results first (0 = unbounded)")
+		cacheMaxB    = flag.Int64("cache-max-bytes", 0, "disk-tier byte budget, enforced once at startup by dropping the oldest lines of the log (0 = unbounded)")
 		workers      = flag.Int("workers", 0, "simulation worker pool size (0 = NumCPU)")
 		queueDepth   = flag.Int("queue", 64, "bounded simulation queue depth; a full queue answers 429 + Retry-After")
 		maxScale     = flag.Float64("max-scale", 1.0, "largest accepted workload scale (0 = unbounded)")
@@ -103,7 +103,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ipexd: cache eviction: %v\n", err)
 			os.Exit(1)
 		}
-		if evicted > 0 {
+		if freed > 0 {
 			fmt.Fprintf(os.Stderr, "ipexd: disk cache over %d bytes; evicted %d oldest result(s) (%d bytes)\n",
 				*cacheMaxB, evicted, freed)
 		}
@@ -156,7 +156,9 @@ func main() {
 	if err := httpd.Shutdown(httpSrv, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "ipexd: drain: %v\n", err)
 	}
-	srv.close()
+	if err := srv.close(); err != nil {
+		fmt.Fprintf(os.Stderr, "ipexd: closing the result cache: %v\n", err)
+	}
 	fmt.Fprintln(os.Stderr, "ipexd: drained")
 }
 

@@ -162,10 +162,11 @@ func (s *server) beginDrain() {
 	s.draining.Store(true)
 }
 
-// close drains the worker pool: no further enqueues, queued tasks finish,
-// workers exit. Call after the HTTP server has shut down (so no handler is
-// mid-enqueue).
-func (s *server) close() {
+// close drains the worker pool (no further enqueues, queued tasks finish,
+// workers exit) and then closes the result store's log. Call after the HTTP
+// server has shut down (so no handler is mid-enqueue). Every result served
+// was already durable, so a close error concerns no acknowledged result.
+func (s *server) close() error {
 	s.draining.Store(true)
 	s.qmu.Lock()
 	if !s.qclosed {
@@ -174,6 +175,7 @@ func (s *server) close() {
 	}
 	s.qmu.Unlock()
 	s.wg.Wait()
+	return s.store.Close()
 }
 
 // mux builds the server's routing table.

@@ -1,5 +1,7 @@
-// Package benchio writes artifacts (profiles, traces, metrics dumps, cached
-// results) atomically, so an interrupt never leaves a torn file behind.
+// Package benchio keeps artifacts whole across interrupts and crashes:
+// AtomicFile installs a profile, trace or metrics dump in one rename, and
+// Log is the group-committed append-only file behind the sweep journal and
+// ipexd's result cache.
 package benchio
 
 import (
@@ -25,11 +27,18 @@ type AtomicFile struct {
 
 // NewAtomicFile opens a temporary file next to path (same filesystem, so
 // the final rename is atomic). The temporary is named after the target so
-// a crash leaves an identifiable ".tmp" orphan rather than a torn target.
+// a crash leaves an identifiable ".tmp" orphan rather than a torn target,
+// and it is given mode 0644, like the logs OpenLog creates, rather than
+// CreateTemp's 0600, which the rename would install.
 func NewAtomicFile(path string) (*AtomicFile, error) {
 	dir, base := filepath.Split(path)
 	f, err := os.CreateTemp(dir, "."+base+".tmp*")
 	if err != nil {
+		return nil, fmt.Errorf("benchio: %w", err)
+	}
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(f.Name())
 		return nil, fmt.Errorf("benchio: %w", err)
 	}
 	return &AtomicFile{f: f, path: path}, nil
@@ -81,21 +90,4 @@ func (a *AtomicFile) Discard() {
 	a.done = true
 	a.f.Close()
 	os.Remove(a.f.Name())
-}
-
-// WriteFileAtomic writes data to path with the temp-then-rename discipline.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	a, err := NewAtomicFile(path)
-	if err != nil {
-		return err
-	}
-	if _, err := a.Write(data); err != nil {
-		a.Discard()
-		return fmt.Errorf("benchio: writing %s: %w", path, err)
-	}
-	if err := a.f.Chmod(perm); err != nil {
-		a.Discard()
-		return fmt.Errorf("benchio: chmod %s: %w", path, err)
-	}
-	return a.Commit()
 }

@@ -1,13 +1,13 @@
 package harness
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
-	"sync"
 
+	"ipex/internal/benchio"
 	"ipex/internal/nvp"
 )
 
@@ -62,14 +62,14 @@ type Entry struct {
 	Stack string `json:"stack,omitempty"`
 }
 
-// Journal is an append-only JSONL record of completed sweep cells. Appends
-// are concurrency-safe and atomic at the line level: each entry is written
-// with a single O_APPEND write followed by an fsync, so a crash can at
-// worst truncate the final line — which resume detects and cuts off (the
-// cell is simply re-run).
+// Journal is an append-only JSONL record of completed sweep cells, kept in
+// a group-committed benchio.Log. Appends are concurrency-safe and atomic at
+// the line level: each entry is one write of one line, and Append returns
+// only after an fsync that covers it (appends from concurrent workers share
+// one). A crash can at worst truncate the final line, which resume detects
+// and cuts off (the cell is simply re-run).
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
+	log  *benchio.Log
 	path string
 }
 
@@ -78,16 +78,16 @@ type Journal struct {
 // either resumable (pass it to ResumeJournal) or stale, and destroying it
 // silently would discard exactly the progress this package exists to keep.
 func CreateJournal(path, sweepKey string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, _, err := benchio.OpenLog(path, os.O_CREATE|os.O_EXCL, nil)
 	if err != nil {
-		if os.IsExist(err) {
+		if errors.Is(err, fs.ErrExist) {
 			return nil, fmt.Errorf("harness: journal %s already exists; resume it with -resume or remove it to start over", path)
 		}
 		return nil, fmt.Errorf("harness: %w", err)
 	}
-	j := &Journal{f: f, path: path}
+	j := &Journal{log: log, path: path}
 	if err := j.Append(Entry{Kind: KindHeader, Schema: Schema, Sweep: sweepKey}); err != nil {
-		f.Close()
+		log.Close()
 		os.Remove(path)
 		return nil, err
 	}
@@ -129,70 +129,56 @@ func ParseLine(raw []byte) (Entry, error) {
 // win; only KindCell entries carry a result — KindFail cells re-run), and
 // human-readable warnings for any corrupted or truncated lines that were
 // skipped. A journal whose header is missing, carries a different schema,
-// or hashes a different sweep definition is rejected with a clear error.
+// or hashes a different sweep definition is rejected with a clear error. A
+// header must precede the first cell, so a rejected file is left untouched
+// unless it holds no valid line at all.
 func ResumeJournal(path, sweepKey string) (*Journal, map[string]*Entry, []string, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: resuming journal: %w", err)
-	}
 	entries := make(map[string]*Entry)
 	var warnings []string
-	// A file not ending in a newline has a torn final line. Only whole
-	// lines are replayed, and the fragment is cut off below so the next
-	// append is not glued onto it (and lost with it on the next resume).
-	whole := bytes.LastIndexByte(b, '\n') + 1
-	if whole < len(b) {
-		warnings = append(warnings, fmt.Sprintf("%s: truncating a torn final line; its cell, if any, will be re-run", path))
-	}
-	sc := bufio.NewScanner(bytes.NewReader(b[:whole]))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	var reject error
+	noHeader := fmt.Errorf("harness: journal %s has no valid header line; it is not a resumable journal", path)
 	line := 0
 	sawHeader := false
-	for sc.Scan() {
+	log, torn, err := benchio.OpenLog(path, 0, func(_ int64, raw []byte) error {
 		line++
-		raw := sc.Bytes()
 		if len(raw) == 0 {
-			continue
+			return nil
 		}
 		e, perr := ParseLine(raw)
 		if perr != nil {
 			warnings = append(warnings, fmt.Sprintf("%s:%d: skipping corrupted journal line (%v); its cell, if any, will be re-run", path, line, perr))
-			continue
+			return nil
 		}
-		switch e.Kind {
-		case KindHeader:
-			if e.Schema != Schema {
-				return nil, nil, nil, fmt.Errorf("harness: journal %s has schema %q, this binary writes %q; re-run without -resume", path, e.Schema, Schema)
-			}
-			if e.Sweep != sweepKey {
-				return nil, nil, nil, fmt.Errorf("harness: journal %s was written for a different sweep (journal %s, current %s): scale, seed, app set, or supervision flags changed — remove the journal or rerun the original command line", path, e.Sweep, sweepKey)
-			}
+		switch {
+		case e.Kind == KindHeader && e.Schema != Schema:
+			reject = fmt.Errorf("harness: journal %s has schema %q, this binary writes %q; re-run without -resume", path, e.Schema, Schema)
+		case e.Kind == KindHeader && e.Sweep != sweepKey:
+			reject = fmt.Errorf("harness: journal %s was written for a different sweep (journal %s, current %s): scale, seed, app set, or supervision flags changed — remove the journal or rerun the original command line", path, e.Sweep, sweepKey)
+		case e.Kind == KindHeader:
 			sawHeader = true
-		case KindCell, KindFail:
-			ec := e
-			entries[e.Key] = &ec
+		case !sawHeader:
+			reject = noHeader
+		default:
+			entries[e.Key] = &e
 		}
+		return reject
+	})
+	if err == nil && !sawHeader {
+		log.Close()
+		reject = noHeader
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: reading journal %s: %w", path, err)
+	if reject != nil {
+		return nil, nil, nil, reject
 	}
-	if !sawHeader {
-		return nil, nil, nil, fmt.Errorf("harness: journal %s has no valid header line; it is not a resumable journal", path)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: reopening journal: %w", err)
+		return nil, nil, nil, fmt.Errorf("harness: resuming journal: %w", err)
 	}
-	if whole < len(b) {
-		if err := f.Truncate(int64(whole)); err == nil {
-			err = f.Sync()
-		}
-		if err != nil {
-			f.Close()
-			return nil, nil, nil, fmt.Errorf("harness: truncating torn journal tail: %w", err)
-		}
+	if torn {
+		// Only whole lines were replayed; the fragment is cut off so the next
+		// append is not glued onto it (and lost with it on the next resume).
+		warnings = append(warnings, fmt.Sprintf("%s: truncated a torn final line; its cell, if any, will be re-run", path))
 	}
-	return &Journal{f: f, path: path}, entries, warnings, nil
+	return &Journal{log: log, path: path}, entries, warnings, nil
 }
 
 // Append durably writes one entry as a single JSON line. Nil-receiver safe:
@@ -205,16 +191,8 @@ func (j *Journal) Append(e Entry) error {
 	if err != nil {
 		return fmt.Errorf("harness: encoding journal entry: %w", err)
 	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	// One write call per line: O_APPEND makes concurrent appends land
-	// whole, and a crash mid-write can only truncate the final line.
-	if _, err := j.f.Write(b); err != nil {
+	if _, err := j.log.Append(append(b, '\n')); err != nil {
 		return fmt.Errorf("harness: appending to journal: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("harness: syncing journal: %w", err)
 	}
 	return nil
 }
@@ -227,12 +205,10 @@ func (j *Journal) Path() string {
 	return j.path
 }
 
-// Close flushes and closes the journal file. Nil-receiver safe.
+// Close syncs and closes the journal file. Nil-receiver safe.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }

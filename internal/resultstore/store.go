@@ -10,31 +10,44 @@
 // computation (singleflight): N identical requests in flight cost one
 // simulation, and the N-1 followers receive the leader's bytes.
 //
+// The disk tier is one append-only, group-committed log (benchio.Log) under
+// the cache directory: a computed body is durable before GetOrCompute
+// returns it, and concurrent misses share one fsync.
+//
 // The package is deliberately clock-free and host-agnostic: recency is
-// access order (not wall time), disk writes go through benchio.AtomicFile,
-// and nothing here imports net/http — serving belongs to the command layer.
+// access order (not wall time), and nothing here imports net/http —
+// serving belongs to the command layer.
 package resultstore
 
 import (
+	"bufio"
 	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"ipex/internal/benchio"
 	"ipex/internal/trace"
 )
 
-// EnvelopeSchema identifies the disk-entry layout; bump on incompatible
-// change. An entry whose header names a different schema is a miss, never
-// an error — the cell is simply re-simulated and the entry rewritten.
-const EnvelopeSchema = "ipex-result/v1"
+// EnvelopeSchema identifies the disk-tier line layout; bump on incompatible
+// change. Each line of the log is
+//
+//	ipex-result/v2 <key> <sha256 of body, hex> <body>\n
+//
+// A line naming a different schema is a miss, never an error: the cell is
+// simply re-simulated and appended again. Bodies therefore hold no newline
+// (ipexd's are compact JSON); one that does stays in memory only.
+const EnvelopeSchema = "ipex-result/v2"
+
+// logName is the disk tier's file under the cache directory. The per-key
+// files of ipex-result/v1 directories are never read.
+const logName = "results.log"
 
 // Outcome classifies how a lookup was served.
 type Outcome int
@@ -82,13 +95,15 @@ type call struct {
 // concurrent use. Returned bodies are shared read-only slices: callers
 // must not mutate them.
 type Store struct {
-	dir string // "" disables the disk tier
-	cap int    // max in-memory entries (>= 1)
+	path string       // the disk tier's log; "" disables the tier
+	log  *benchio.Log // nil without a disk tier
+	cap  int          // max in-memory entries (>= 1)
 
 	mu       sync.Mutex
 	lru      *list.List // of *entry; front = most recently used
 	mem      map[string]*list.Element
 	inflight map[string]*call
+	index    map[string]span // key -> its latest log line
 
 	// Counters are nil-safe handles; a Store built without a registry
 	// discards them.
@@ -101,11 +116,6 @@ type Store struct {
 	corrupt     *trace.Counter
 	failures    *trace.Counter
 	diskErrors  *trace.Counter
-
-	// writeFile is the disk-tier writer, an injection seam for the
-	// failing-disk tests (running as root defeats permission-based
-	// injection). Production is always benchio.WriteFileAtomic.
-	writeFile func(path string, data []byte, perm os.FileMode) error
 
 	// clock, when installed via SetClock, feeds the latency histograms
 	// below; nil leaves them silent, preserving the package's clock-free
@@ -120,22 +130,24 @@ type entry struct {
 	body []byte
 }
 
+// span locates one log line, newline included.
+type span struct {
+	off int64
+	n   int
+}
+
 // New builds a store with an in-memory LRU of at most memEntries bodies
-// (minimum 1) over a disk tier rooted at dir ("" keeps the store purely
-// in-memory). The directory is created if missing. reg, when non-nil,
+// (minimum 1) over a disk tier in dir ("" keeps the store purely
+// in-memory). The directory and its log are created if missing, and an
+// existing log is indexed by one streaming scan that keeps no body in
+// memory; its torn final line, if any, is cut off. reg, when non-nil,
 // receives the store.* counters (mem_hits, disk_hits, computed, coalesced,
 // evicted, corrupt, failures, disk_errors).
 func New(dir string, memEntries int, reg *trace.Registry) (*Store, error) {
 	if memEntries < 1 {
 		memEntries = 1
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-	}
-	return &Store{
-		dir:      dir,
+	s := &Store{
 		cap:      memEntries,
 		lru:      list.New(),
 		mem:      make(map[string]*list.Element),
@@ -151,11 +163,40 @@ func New(dir string, memEntries int, reg *trace.Registry) (*Store, error) {
 		failures:    reg.Counter("store.failures"),
 		diskErrors:  reg.Counter("store.disk_errors"),
 
-		writeFile: benchio.WriteFileAtomic,
-
 		computeSeconds:  reg.Histogram("store.compute_seconds", nil),
 		diskReadSeconds: reg.Histogram("store.disk_read_seconds", nil),
-	}, nil
+	}
+	if dir == "" {
+		return s, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("resultstore: %w", err)
+	}
+	// The last line of each key wins; a line without the v2 layout counts
+	// as corrupt.
+	s.path, s.index = filepath.Join(dir, logName), make(map[string]span)
+	log, _, err := benchio.OpenLog(s.path, os.O_CREATE, func(off int64, line []byte) error {
+		if key, _, _, ok := parseLine(line); ok {
+			s.index[string(key)] = span{off, len(line) + 1}
+		} else {
+			s.corrupt.Inc()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("resultstore: %w", err)
+	}
+	s.log = log
+	return s, nil
+}
+
+// Close syncs and closes the disk tier's log. Results computed afterwards
+// are kept in memory only; a second Close is a no-op.
+func (s *Store) Close() error {
+	if s.log == nil {
+		return nil
+	}
+	return s.log.Close()
 }
 
 // SetClock installs the monotonic clock behind the store's latency
@@ -179,63 +220,66 @@ func (s *Store) Rates() (hitRatio, coalesceRate float64) {
 	return float64(mem+disk) / float64(total), float64(co) / float64(total)
 }
 
-// EvictDiskOver shrinks the disk tier to at most maxBytes by deleting
-// entries oldest-first (modification time, then name for determinism when
-// times tie). It is a startup-scan operation — the service calls it once
-// before listening, so a node restarted with a smaller budget converges
-// immediately — and it touches only the disk tier: the memory LRU is
-// governed solely by its entry cap, so a body already promoted to memory
+// EvictDiskOver shrinks the disk tier to at most maxBytes by dropping the
+// oldest whole lines of its log: the kept suffix is copied through
+// benchio.AtomicFile, which replaces the log in one rename, and the index is
+// shifted to match. It reports the results dropped (superseded lines are not
+// counted) and the bytes freed. It is a startup operation — the service
+// calls it once before listening, so a node restarted with a smaller budget
+// converges immediately — and it touches only the disk tier: the memory LRU
+// is governed solely by its entry cap, so a body already promoted to memory
 // keeps serving hits even after its disk entry is evicted. maxBytes <= 0
-// means no cap (nothing is evicted). Dot-prefixed files (AtomicFile
-// temporaries) and subdirectories are left alone.
+// means no cap (nothing is evicted).
 func (s *Store) EvictDiskOver(maxBytes int64) (evicted int, freed int64, err error) {
-	if s.dir == "" || maxBytes <= 0 {
+	if s.log == nil || maxBytes <= 0 {
 		return 0, 0, nil
 	}
-	dirents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, 0, fmt.Errorf("resultstore: scanning disk tier: %w", err)
+	size := s.log.Size()
+	if size <= maxBytes {
+		return 0, 0, nil
 	}
-	type diskEntry struct {
-		name string
-		size int64
-		mod  int64
-	}
-	var entries []diskEntry
-	var total int64
-	for _, de := range dirents {
-		if de.IsDir() || strings.HasPrefix(de.Name(), ".") {
-			continue
-		}
-		info, ierr := de.Info()
-		if ierr != nil {
-			continue // raced with a concurrent delete; nothing to size
-		}
-		entries = append(entries, diskEntry{de.Name(), info.Size(), info.ModTime().UnixNano()})
-		total += info.Size()
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].mod != entries[j].mod {
-			return entries[i].mod < entries[j].mod
-		}
-		return entries[i].name < entries[j].name
-	})
-	for _, e := range entries {
-		if total <= maxBytes {
+	// Keep from the first line that starts at or after size-maxBytes: the
+	// byte before it, at or after size-maxBytes-1, is a newline.
+	cut := size - maxBytes - 1
+	r := bufio.NewReader(io.NewSectionReader(s.log, cut, maxBytes+1))
+	for {
+		chunk, rerr := r.ReadSlice('\n')
+		cut += int64(len(chunk))
+		if rerr == nil {
 			break
 		}
-		if rerr := os.Remove(filepath.Join(s.dir, e.name)); rerr != nil {
-			if err == nil {
-				err = fmt.Errorf("resultstore: evicting %s: %w", e.name, rerr)
-			}
-			continue
+		if rerr != bufio.ErrBufferFull {
+			return 0, 0, fmt.Errorf("resultstore: evicting: %w", rerr)
 		}
-		total -= e.size
-		freed += e.size
-		evicted++
-		s.diskEvicted.Inc()
 	}
-	return evicted, freed, err
+	a, err := benchio.NewAtomicFile(s.path)
+	if err != nil {
+		return 0, 0, fmt.Errorf("resultstore: evicting: %w", err)
+	}
+	if _, err := io.Copy(a, io.NewSectionReader(s.log, cut, size-cut)); err != nil {
+		a.Discard()
+		return 0, 0, fmt.Errorf("resultstore: evicting: %w", err)
+	}
+	if err := a.Commit(); err != nil {
+		return 0, 0, fmt.Errorf("resultstore: evicting: %w", err)
+	}
+	index := make(map[string]span, len(s.index))
+	for key, sp := range s.index {
+		if sp.off < cut {
+			evicted++
+		} else {
+			index[key] = span{sp.off - cut, sp.n}
+		}
+	}
+	s.diskEvicted.Add(uint64(evicted))
+	// The old log is an unlinked file now, and all its lines are covered.
+	s.log.Close()
+	log, _, err := benchio.OpenLog(s.path, 0, nil)
+	if err != nil {
+		return evicted, cut, fmt.Errorf("resultstore: evicting: %w", err)
+	}
+	s.log, s.index = log, index
+	return evicted, cut, nil
 }
 
 // MemLen returns the number of bodies currently in the memory tier.
@@ -243,15 +287,6 @@ func (s *Store) MemLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lru.Len()
-}
-
-// DiskPath returns the disk-tier path of a key ("" when the disk tier is
-// disabled). The file need not exist.
-func (s *Store) DiskPath(key string) string {
-	if s.dir == "" {
-		return ""
-	}
-	return filepath.Join(s.dir, key)
 }
 
 // Get looks a key up in both tiers without computing anything: memory
@@ -348,19 +383,6 @@ func (s *Store) GetOrCompute(key string, compute func() ([]byte, error)) ([]byte
 	return body, outcome, nil
 }
 
-// Put stores a body in both tiers unconditionally (overwriting any previous
-// entry for the key). A disk-tier write failure is counted and returned, but
-// the memory tier is installed regardless — the entry degrades, it does not
-// vanish.
-func (s *Store) Put(key string, body []byte) error {
-	err := s.writeDisk(key, body)
-	if err != nil {
-		s.diskErrors.Inc()
-	}
-	s.insert(key, body)
-	return err
-}
-
 // insert adds (or refreshes) a memory-tier entry, evicting from the LRU
 // tail past capacity. Evicted bodies survive on the disk tier.
 func (s *Store) insert(key string, body []byte) {
@@ -381,18 +403,22 @@ func (s *Store) insert(key string, body []byte) {
 	}
 }
 
-// writeDisk installs the enveloped body atomically; a crash mid-write
-// leaves either the previous entry or the complete new one.
+// writeDisk appends the body's line to the log and indexes it once the
+// fsync covering it returns; a crash before then loses nothing that was
+// acknowledged.
 func (s *Store) writeDisk(key string, body []byte) error {
-	if s.dir == "" {
+	if s.log == nil {
 		return nil
 	}
-	sum := sha256.Sum256(body)
-	var buf bytes.Buffer
-	buf.Grow(len(EnvelopeSchema) + len(key) + 2*len(sum) + 3 + len(body))
-	fmt.Fprintf(&buf, "%s %s %s\n", EnvelopeSchema, key, hex.EncodeToString(sum[:]))
-	buf.Write(body)
-	return s.writeFile(s.DiskPath(key), buf.Bytes(), 0o644)
+	line := encodeLine(key, body)
+	off, err := s.log.Append(line)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.index[key] = span{off, len(line)}
+	s.mu.Unlock()
+	return nil
 }
 
 // readDisk fetches and verifies a disk-tier entry, timing the successful
@@ -407,33 +433,77 @@ func (s *Store) readDisk(key string) ([]byte, bool) {
 	return body, ok
 }
 
-// loadDisk fetches and verifies a disk-tier entry. Any defect — missing
-// file, foreign schema, key mismatch, checksum mismatch, truncation — is a
-// miss: the caller re-simulates and rewrites the entry. Corruption (a file
-// that exists but fails verification) is counted separately.
+// loadDisk reads and verifies the key's indexed log line. Any defect —
+// foreign schema, key mismatch, checksum mismatch, a short read — is a
+// miss: the caller re-simulates and appends a new line, which later
+// lookups find. An indexed line that fails verification counts as corrupt.
 func (s *Store) loadDisk(key string) ([]byte, bool) {
-	if s.dir == "" {
+	if s.log == nil {
 		return nil, false
 	}
-	raw, err := os.ReadFile(s.DiskPath(key))
-	if err != nil {
+	s.mu.Lock()
+	sp, ok := s.index[key]
+	s.mu.Unlock()
+	if !ok {
 		return nil, false
 	}
-	nl := bytes.IndexByte(raw, '\n')
-	if nl < 0 {
+	line := make([]byte, sp.n)
+	if _, err := s.log.ReadAt(line, sp.off); err != nil || line[sp.n-1] != '\n' {
 		s.corrupt.Inc()
 		return nil, false
 	}
-	var schema, k, sumHex string
-	if _, err := fmt.Sscanf(string(raw[:nl]), "%s %s %s", &schema, &k, &sumHex); err != nil ||
-		schema != EnvelopeSchema || k != key {
+	body, ok := verifyLine(line[:sp.n-1], key)
+	if !ok {
 		s.corrupt.Inc()
-		return nil, false
 	}
-	body := raw[nl+1:]
+	return body, ok
+}
+
+// encodeLine lays out one disk-tier line, newline included.
+func encodeLine(key string, body []byte) []byte {
 	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != sumHex {
-		s.corrupt.Inc()
+	line := make([]byte, 0, len(EnvelopeSchema)+len(key)+2*len(sum)+len(body)+4)
+	line = append(line, EnvelopeSchema...)
+	line = append(line, ' ')
+	line = append(line, key...)
+	line = append(line, ' ')
+	line = hex.AppendEncode(line, sum[:])
+	line = append(line, ' ')
+	line = append(line, body...)
+	return append(line, '\n')
+}
+
+// parseLine splits a disk-tier line, without its newline, into key, hex
+// checksum and body. ok is false unless the line has the v2 layout; the
+// checksum is not verified.
+func parseLine(line []byte) (key, sum, body []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(line, []byte(EnvelopeSchema+" "))
+	if !ok {
+		return nil, nil, nil, false
+	}
+	key, rest, ok = bytes.Cut(rest, []byte(" "))
+	if !ok || len(key) == 0 {
+		return nil, nil, nil, false
+	}
+	sum, body, ok = bytes.Cut(rest, []byte(" "))
+	if !ok || len(sum) != hex.EncodedLen(sha256.Size) {
+		return nil, nil, nil, false
+	}
+	return key, sum, body, true
+}
+
+// verifyLine returns the body of a disk-tier line, without its newline,
+// when the line has the v2 layout, names key, and its body matches its
+// checksum.
+func verifyLine(line []byte, key string) ([]byte, bool) {
+	k, sum, body, ok := parseLine(line)
+	if !ok || string(k) != key {
+		return nil, false
+	}
+	got := sha256.Sum256(body)
+	var hexGot [2 * sha256.Size]byte
+	hex.Encode(hexGot[:], got[:])
+	if !bytes.Equal(hexGot[:], sum) {
 		return nil, false
 	}
 	return body, true

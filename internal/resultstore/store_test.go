@@ -2,6 +2,8 @@ package resultstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -9,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"ipex/internal/trace"
 )
@@ -157,27 +158,25 @@ func TestLRUEvictionDiskRefill(t *testing.T) {
 	}
 }
 
-// TestCorruptDiskEntry pins the self-healing path: an entry that fails
-// verification (here: one flipped body byte) is a miss, the cell is
-// recomputed, and the rewritten entry verifies again.
+// TestCorruptDiskEntry pins the corruption path: a log line that fails
+// verification is a miss, the cell is recomputed, and its new line, which
+// supersedes the defective one, verifies from a fresh store.
 func TestCorruptDiskEntry(t *testing.T) {
 	for name, mangle := range map[string]func([]byte) []byte{
-		"flipped-byte": func(raw []byte) []byte {
-			out := append([]byte(nil), raw...)
+		"flipped-byte": func(line []byte) []byte {
+			out := append([]byte(nil), line...)
 			out[len(out)-1] ^= 0xFF
 			return out
 		},
-		"truncated": func(raw []byte) []byte { return raw[:len(raw)-4] },
-		"foreign-schema": func(raw []byte) []byte {
-			return append([]byte("other-schema/v9 x y\n"), raw...)
+		"truncated": func(line []byte) []byte { return line[:len(line)-4] },
+		"foreign-schema": func(line []byte) []byte {
+			return bytes.Replace(line, []byte(EnvelopeSchema), []byte("ipex-result/v1"), 1)
 		},
-		"no-header": func([]byte) []byte { return []byte("no newline at all") },
+		"no-header": func([]byte) []byte { return []byte("no header at all") },
 	} {
 		t.Run(name, func(t *testing.T) {
-			reg := trace.NewRegistry()
-			// cap 1 so inserting a second key evicts the first from memory,
-			// forcing the corrupted disk read.
-			s := mustStore(t, t.TempDir(), 1, reg)
+			dir := t.TempDir()
+			s := mustStore(t, dir, 1, nil)
 			want := []byte("sound-body")
 			if _, _, err := s.GetOrCompute("k", func() ([]byte, error) { return want, nil }); err != nil {
 				t.Fatal(err)
@@ -185,16 +184,24 @@ func TestCorruptDiskEntry(t *testing.T) {
 			if _, _, err := s.GetOrCompute("other", func() ([]byte, error) { return []byte("x"), nil }); err != nil {
 				t.Fatal(err)
 			}
-			raw, err := os.ReadFile(s.DiskPath("k"))
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// Mangle k's line, the log's first, in place.
+			path := filepath.Join(dir, logName)
+			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(s.DiskPath("k"), mangle(raw), 0o644); err != nil {
+			nl := bytes.IndexByte(raw, '\n')
+			if err := os.WriteFile(path, append(mangle(raw[:nl]), raw[nl:]...), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
+			reg := trace.NewRegistry()
+			s1 := mustStore(t, dir, 1, reg)
 			var calls atomic.Int64
-			got, outcome, err := s.GetOrCompute("k", func() ([]byte, error) {
+			got, outcome, err := s1.GetOrCompute("k", func() ([]byte, error) {
 				calls.Add(1)
 				return want, nil
 			})
@@ -207,10 +214,12 @@ func TestCorruptDiskEntry(t *testing.T) {
 			if reg.Counter("store.corrupt").Load() == 0 {
 				t.Fatal("corrupt counter not bumped")
 			}
-			// The rewrite healed the entry: a fresh store verifies it.
-			s2 := mustStore(t, s.dir, 1, nil)
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2 := mustStore(t, dir, 1, nil)
 			if got, outcome, ok := s2.Get("k"); !ok || outcome != OutcomeDiskHit || !bytes.Equal(got, want) {
-				t.Fatalf("healed entry: ok=%v outcome=%v body=%q", ok, outcome, got)
+				t.Fatalf("recomputed entry: ok=%v outcome=%v body=%q", ok, outcome, got)
 			}
 		})
 	}
@@ -228,8 +237,8 @@ func TestComputeErrorNotCached(t *testing.T) {
 	if s.MemLen() != 0 {
 		t.Fatal("failed computation left a memory-tier entry")
 	}
-	if _, err := os.Stat(s.DiskPath("k")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("failed computation left a disk-tier entry: %v", err)
+	if n := s.log.Size(); n != 0 {
+		t.Fatalf("failed computation left %d bytes in the disk tier", n)
 	}
 	want := []byte("second-try")
 	got, outcome, err := s.GetOrCompute("k", func() ([]byte, error) { return want, nil })
@@ -239,12 +248,14 @@ func TestComputeErrorNotCached(t *testing.T) {
 }
 
 // TestMemoryOnly pins the dir=="" mode: no disk tier, eviction is loss, and
-// DiskPath reports the tier as absent.
+// Close has nothing to close.
 func TestMemoryOnly(t *testing.T) {
 	s := mustStore(t, "", 1, nil)
-	if p := s.DiskPath("k"); p != "" {
-		t.Fatalf("memory-only DiskPath = %q, want \"\"", p)
-	}
+	defer func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("memory-only Close: %v", err)
+		}
+	}()
 	if _, _, err := s.GetOrCompute("k1", func() ([]byte, error) { return []byte("a"), nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -280,85 +291,66 @@ func TestOutcomeStrings(t *testing.T) {
 	}
 }
 
-// TestPutOverwrites pins Put's unconditional-overwrite contract on both
-// tiers.
-func TestPutOverwrites(t *testing.T) {
-	s := mustStore(t, t.TempDir(), 4, nil)
-	if err := s.Put("k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("k", []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	if body, _, ok := s.Get("k"); !ok || !bytes.Equal(body, []byte("v2")) {
-		t.Fatalf("memory tier after overwrite: ok=%v body=%q", ok, body)
-	}
-	s2 := mustStore(t, s.dir, 4, nil)
-	if body, _, ok := s2.Get("k"); !ok || !bytes.Equal(body, []byte("v2")) {
-		t.Fatalf("disk tier after overwrite: ok=%v body=%q", ok, body)
-	}
-}
-
-// TestEvictDiskOver: the startup scan must delete oldest-first until the
-// tier fits the byte cap, skip AtomicFile temporaries, and leave newer
-// entries untouched.
+// TestEvictDiskOver: the startup pass must drop the oldest whole lines
+// until the log fits the byte cap, keep the newer ones readable through the
+// evicting store's own index and from a fresh store, and keep appending at
+// the right offsets afterwards.
 func TestEvictDiskOver(t *testing.T) {
 	dir := t.TempDir()
 	reg := trace.NewRegistry()
-	s := mustStore(t, dir, 8, reg)
-
+	// cap 1: lookups of all but the newest key go to the disk tier.
+	s := mustStore(t, dir, 1, reg)
 	body := bytes.Repeat([]byte("x"), 100)
-	var sizes []int64
+	put := func(s *Store, key string) {
+		t.Helper()
+		if _, _, err := s.GetOrCompute(key, func() ([]byte, error) { return body, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for i := 0; i < 5; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if err := s.Put(key, body); err != nil {
-			t.Fatal(err)
-		}
-		info, err := os.Stat(s.DiskPath(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sizes = append(sizes, info.Size())
-		// Strictly increasing mtimes, oldest = k0, without sleeping.
-		mt := time.Unix(1_700_000_000+int64(i), 0)
-		if err := os.Chtimes(s.DiskPath(key), mt, mt); err != nil {
-			t.Fatal(err)
-		}
+		put(s, fmt.Sprintf("k%d", i))
 	}
-	// A dot-prefixed straggler temp must never be counted or deleted.
-	tmp := filepath.Join(dir, ".k9.tmp123")
-	if err := os.WriteFile(tmp, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Same-length keys and bodies: every line has one length.
+	line := int64(len(encodeLine("k0", body)))
 
-	// Cap to exactly the three newest entries: k0 and k1 must go.
-	cap3 := sizes[2] + sizes[3] + sizes[4]
-	evicted, freed, err := s.EvictDiskOver(cap3)
+	// Cap to exactly the three newest lines: k0 and k1 must go.
+	evicted, freed, err := s.EvictDiskOver(3 * line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if evicted != 2 || freed != sizes[0]+sizes[1] {
-		t.Fatalf("evicted %d (%d bytes), want 2 (%d bytes)", evicted, freed, sizes[0]+sizes[1])
+	if evicted != 2 || freed != 2*line {
+		t.Fatalf("evicted %d (%d bytes), want 2 (%d bytes)", evicted, freed, 2*line)
 	}
-	for i, want := range []bool{false, false, true, true, true} {
-		_, err := os.Stat(s.DiskPath(fmt.Sprintf("k%d", i)))
-		if got := err == nil; got != want {
-			t.Errorf("k%d on disk = %v, want %v", i, got, want)
-		}
-	}
-	if _, err := os.Stat(tmp); err != nil {
-		t.Errorf("eviction deleted the AtomicFile temporary: %v", err)
+	if info, err := os.Stat(filepath.Join(dir, logName)); err != nil || info.Size() != 3*line || info.Mode().Perm() != 0o644 {
+		t.Fatalf("log after eviction: %v, %v; want %d bytes, mode 0644", info, err, 3*line)
 	}
 	if got := reg.Counter("store.disk_evicted").Load(); got != 2 {
 		t.Errorf("store.disk_evicted = %d, want 2", got)
 	}
+	put(s, "k5")
+	check := func(who string, s *Store) {
+		t.Helper()
+		for i, want := range []bool{false, false, true, true, true, true} {
+			key := fmt.Sprintf("k%d", i)
+			got, outcome, ok := s.Get(key)
+			if ok != want || (ok && (outcome == OutcomeComputed || !bytes.Equal(got, body))) {
+				t.Errorf("%s: %s served=%v (%v), want %v", who, key, ok, outcome, want)
+			}
+		}
+	}
+	check("evicting store", s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustStore(t, dir, 1, nil)
+	check("fresh store", s2)
 
 	// Under the cap already: a second pass is a no-op.
-	if n, b, err := s.EvictDiskOver(cap3); n != 0 || b != 0 || err != nil {
+	if n, b, err := s2.EvictDiskOver(4 * line); n != 0 || b != 0 || err != nil {
 		t.Fatalf("second pass evicted %d (%d bytes), err %v; want a no-op", n, b, err)
 	}
 	// No cap means no eviction.
-	if n, _, _ := s.EvictDiskOver(0); n != 0 {
+	if n, _, _ := s2.EvictDiskOver(0); n != 0 {
 		t.Fatalf("maxBytes=0 evicted %d entries, want none", n)
 	}
 }
@@ -370,7 +362,7 @@ func TestEvictDiskNeverTouchesMemory(t *testing.T) {
 	dir := t.TempDir()
 	s := mustStore(t, dir, 8, nil)
 	want := []byte("resident body")
-	if err := s.Put("hot", want); err != nil {
+	if _, _, err := s.GetOrCompute("hot", func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	memBefore := s.MemLen()
@@ -383,8 +375,8 @@ func TestEvictDiskNeverTouchesMemory(t *testing.T) {
 	if evicted != 1 {
 		t.Fatalf("evicted %d disk entries, want 1", evicted)
 	}
-	if _, err := os.Stat(s.DiskPath("hot")); err == nil {
-		t.Fatal("disk entry survived a 1-byte cap")
+	if n := s.log.Size(); n != 0 {
+		t.Fatalf("%d log bytes survived a 1-byte cap", n)
 	}
 
 	if got := s.MemLen(); got != memBefore {
@@ -393,5 +385,105 @@ func TestEvictDiskNeverTouchesMemory(t *testing.T) {
 	got, outcome, ok := s.Get("hot")
 	if !ok || outcome != OutcomeMemoryHit || !bytes.Equal(got, want) {
 		t.Fatalf("after disk eviction: ok=%v outcome=%v body=%q, want a memory hit with the original body", ok, outcome, got)
+	}
+}
+
+// TestTornTailCutAtStartup pins crash recovery of the disk tier: a line torn
+// by a crash is cut off when the store opens, so the next append starts a
+// line of its own and survives the next restart.
+func TestTornTailCutAtStartup(t *testing.T) {
+	dir := t.TempDir()
+	s := mustStore(t, dir, 8, nil)
+	body := func(k string) []byte { return []byte("body-of-" + k) }
+	if _, _, err := s.GetOrCompute("before", func() ([]byte, error) { return body("before"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(EnvelopeSchema + " torn 00")
+	f.Close()
+
+	s2 := mustStore(t, dir, 8, nil)
+	if _, _, err := s2.GetOrCompute("after", func() ([]byte, error) { return body("after"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := trace.NewRegistry()
+	s3 := mustStore(t, dir, 8, reg)
+	for _, key := range []string{"before", "after"} {
+		if got, outcome, ok := s3.Get(key); !ok || outcome != OutcomeDiskHit || !bytes.Equal(got, body(key)) {
+			t.Errorf("%s after the torn-tail restart: ok=%v outcome=%v body=%q", key, ok, outcome, got)
+		}
+	}
+	if n := reg.Counter("store.corrupt").Load(); n != 0 {
+		t.Errorf("store.corrupt = %d, want 0: the torn tail was not cut", n)
+	}
+}
+
+// TestRestartServesEveryKeyFromDisk: results computed by concurrent misses
+// (whose appends share fsyncs) are each served byte-identical as disk hits
+// by a restarted store.
+func TestRestartServesEveryKeyFromDisk(t *testing.T) {
+	dir := t.TempDir()
+	s := mustStore(t, dir, 4, nil)
+	const n = 32
+	body := func(i int) []byte {
+		return []byte(fmt.Sprintf(`{"cell":%d,"pad":%q}`, i, bytes.Repeat([]byte("y"), i)))
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, _, err := s.GetOrCompute(fmt.Sprintf("k%d", i), func() ([]byte, error) { return body(i), nil }); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustStore(t, dir, 4, nil)
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if got, outcome, err := s2.GetOrCompute(key, func() ([]byte, error) {
+			return nil, errors.New("compute must not run on a restarted store")
+		}); err != nil || outcome != OutcomeDiskHit || !bytes.Equal(got, body(i)) {
+			t.Errorf("%s: err=%v outcome=%v body=%q", key, err, outcome, got)
+		}
+	}
+}
+
+// TestV1DirectoryReadsAsMisses: a cache directory of ipex-result/v1 per-key
+// files is never read; each of its keys is a plain miss that recomputes.
+func TestV1DirectoryReadsAsMisses(t *testing.T) {
+	dir := t.TempDir()
+	key := "00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee"
+	old := []byte("old-body")
+	sum := sha256.Sum256(old)
+	v1 := fmt.Sprintf("ipex-result/v1 %s %s\n%s", key, hex.EncodeToString(sum[:]), old)
+	if err := os.WriteFile(filepath.Join(dir, key), []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := trace.NewRegistry()
+	s := mustStore(t, dir, 8, reg)
+	if _, _, ok := s.Get(key); ok {
+		t.Fatal("a v1 per-key file was served")
+	}
+	want := []byte("new-body")
+	if got, outcome, err := s.GetOrCompute(key, func() ([]byte, error) { return want, nil }); err != nil || outcome != OutcomeComputed || !bytes.Equal(got, want) {
+		t.Fatalf("v1 key: outcome=%v err=%v body=%q, want a recompute", outcome, err, got)
+	}
+	if n := reg.Counter("store.corrupt").Load(); n != 0 {
+		t.Errorf("store.corrupt = %d, want 0: v1 files are not entries", n)
 	}
 }
